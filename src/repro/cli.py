@@ -38,9 +38,15 @@ and exits 3 (loudly) if the engines disagree.  ``serve`` runs the
 persistent verification daemon (bounded job queue, crash-safe result
 cache, graceful SIGTERM checkpointing) and ``submit`` sends it a
 ``lin`` / ``lockfree`` / ``explore`` request over a TCP or Unix-domain
-socket, with the same verdict, counterexample and exit-code mapping as
-the direct commands (plus exit 2 when the service itself is
-unreachable or rejects the job).  See docs/ROBUSTNESS.md and
+socket (plus exit 2 when the service itself is unreachable or rejects
+the job).  ``lin`` / ``lockfree`` and the daemon answer the same
+:class:`~repro.verify.jobs.Job` with the same
+:func:`~repro.verify.jobs.run_job`, and ``submit`` prints its answer
+with the same :func:`~repro.verify.jobs.render`, so a served verdict,
+counterexample, printed block and exit code are the direct ones.  The
+``--workers`` / ``--remote`` / ... flags become one
+:class:`~repro.parallel.ParallelConfig` before any command runs; a
+malformed one is a usage error (exit 2).  See docs/ROBUSTNESS.md and
 docs/TESTING.md.
 
 Examples::
@@ -61,6 +67,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from .core import (
@@ -77,26 +84,27 @@ from .core.aut import read_aut, write_aut
 from .lang import ClientConfig, explore
 from .lang.checkpoint import CheckpointSink, load_checkpoint
 from .objects import BENCHMARKS, get
-from .parallel import STREAMING_SERIAL_REASON, maybe_parallel_explore
+from .parallel import (
+    STREAMING_SERIAL_REASON,
+    FaultPlan,
+    ParallelConfig,
+    maybe_parallel_explore,
+)
 from .util import Stats, render_table, stage
 from .util.budget import (
-    EXIT_DISAGREEMENT,
     EXIT_INTERRUPTED,
     EXIT_UNKNOWN,
     REASON_INTERRUPTED,
     UNKNOWN,
     BudgetExhausted,
     RunBudget,
-    combined_verdict,
-    exit_code_for,
 )
 from .verify import (
     check_linearizability,
-    check_linearizability_both,
-    check_linearizability_reachability,
     check_lock_freedom_auto,
     check_obstruction_freedom,
 )
+from .verify.jobs import Job, exit_code, render, run_job
 
 #: ``(args, sinks)`` of the command currently collecting metrics, so a
 #: KeyboardInterrupt in :func:`main` can flush partial ``--stats`` /
@@ -181,11 +189,43 @@ def _budget_from(args) -> RunBudget:
     )
 
 
-def _verdict_exit(result) -> int:
-    exhaustion = getattr(result, "exhaustion", None)
-    if exhaustion is not None and exhaustion.reason == REASON_INTERRUPTED:
-        return EXIT_INTERRUPTED
-    return exit_code_for(result.verdict)
+def _parallel_from(parser: argparse.ArgumentParser,
+                   args) -> Optional[ParallelConfig]:
+    """The one :class:`ParallelConfig` of a command (None = serial).
+
+    Remote addresses, an agent listener or a socket transport imply a
+    sharded run even with ``--workers 0``; the worker target then
+    defaults to the number of remote addresses.  A malformed fault plan
+    or heartbeat window is a usage error (exit 2), not a verdict.
+    """
+    remote = tuple(
+        part.strip() for part in (args.remote or "").split(",")
+        if part.strip()
+    )
+    wants_remote = (
+        bool(remote)
+        or args.remote_listen is not None
+        or args.transport in ("remote", "mixed")
+    )
+    if args.workers < 1 and not wants_remote:
+        return None
+    tuning = {}
+    if args.shard_states is not None:
+        tuning["shard_states"] = args.shard_states
+    if args.heartbeat_timeout is not None:
+        tuning["heartbeat_timeout"] = args.heartbeat_timeout
+    try:
+        return ParallelConfig(
+            workers=max(args.workers, 0),
+            fault_plan=(FaultPlan.parse(args.fault_plan)
+                        if args.fault_plan else None),
+            remote=remote,
+            remote_listen=args.remote_listen,
+            transport=args.transport or "auto",
+            **tuning,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _wants_stats(args) -> bool:
@@ -331,7 +371,10 @@ def cmd_verify(args) -> int:
 
 def _combined_exit(results) -> int:
     """FALSE (1) dominates UNKNOWN (2) dominates TRUE (0); SIGINT wins."""
-    codes = [_verdict_exit(result) for result in results]
+    codes = [
+        exit_code(result.verdict, getattr(result.exhaustion, "reason", None))
+        for result in results
+    ]
     if EXIT_INTERRUPTED in codes:
         return EXIT_INTERRUPTED
     if 1 in codes:
@@ -341,92 +384,30 @@ def _combined_exit(results) -> int:
     return 0
 
 
-def _print_lin(result, label: str = "linearizable") -> None:
-    if result.exhaustion is not None:
-        _report_exhaustion(label, result)
-        return
-    if getattr(result, "early_exit", False):
-        print(f"on-the-fly early exit: mismatch after expanding "
-              f"{result.states_expanded} states "
-              f"({result.impl_states} interned, no quotient built)")
-    else:
-        print(f"states {result.impl_states} -> quotient "
-              f"{result.impl_quotient_states} ({result.reduction_factor:.1f}x)")
-    print(f"{label}: {result.verdict}  ({result.total_seconds:.2f}s)")
-    if result.linearizable is False:
-        print(result.render_counterexample())
+def _job_fields(args) -> Dict:
+    """The :class:`Job` fields of a ``lin`` / ``lockfree`` / ``submit``
+    command line."""
+    return dict(
+        kind=args.kind, key=args.key, threads=args.threads, ops=args.ops,
+        values=args.values, max_states=args.max_states, method=args.method,
+        reduce=not args.no_reduce, engine=args.engine,
+    )
 
 
-def _print_reach(result, label: str = "linearizable") -> None:
-    if result.exhaustion is not None:
-        _report_exhaustion(label, result)
-        return
-    if getattr(result, "on_the_fly", False):
-        print(f"on-the-fly: expanded {result.states_expanded} of "
-              f"{result.impl_states} interned states")
-    print(f"states {result.impl_states} -> product {result.product_states} "
-          f"({result.monitor_states} monitor sets)")
-    print(f"{label}: {result.verdict}  ({result.total_seconds:.2f}s)")
-    if result.linearizable is False:
-        print(result.render_counterexample())
-
-
-class _BothResult:
-    """Combined ``lin --method both`` outcome.
-
-    Presents the :func:`~repro.util.budget.combined_verdict` of the two
-    engines through the same ``verdict`` / ``exhaustion`` surface the
-    degrade ladder and exit-code mapping expect.  On disagreement the
-    verdict is the sentinel ``"DISAGREE"`` (never ``UNKNOWN``, so the
-    degrade ladder stops rather than retrying an engine bug away) and
-    :func:`cmd_lin` exits :data:`~repro.util.budget.EXIT_DISAGREEMENT`.
-    """
-
-    def __init__(self, quotient, reachability) -> None:
-        self.quotient = quotient
-        self.reachability = reachability
-        self._verdict, self.disagree = combined_verdict(
-            quotient.verdict, reachability.verdict
-        )
-
-    @property
-    def verdict(self) -> str:
-        return "DISAGREE" if self.disagree else self._verdict
-
-    @property
-    def exhaustion(self):
-        return self.quotient.exhaustion or self.reachability.exhaustion
-
-
-def _print_both(result, label: str = "linearizable") -> None:
-    _print_lin(result.quotient, f"{label} [quotient]")
-    _print_reach(result.reachability, f"{label} [reachability]")
-    if result.disagree:
-        print(
-            "ERROR: verdict engines disagree -- "
-            f"quotient={result.quotient.verdict} "
-            f"reachability={result.reachability.verdict} "
-            "(this is an engine bug, not a property of the object)"
-        )
-    else:
-        print(f"{label}: {result.verdict}  (both engines agree)")
-
-
-def cmd_lin(args) -> int:
-    """Linearizability with budget governance and a degradation ladder."""
-    bench, _workload, _config = _bench_and_config(args)
+def cmd_job(args) -> int:
+    """``lin`` / ``lockfree``: one :class:`Job` through :func:`run_job`,
+    with budget governance and a degradation ladder."""
+    job = Job(**_job_fields(args))
     sinks, sink = _make_sinks(args)
     budget = _budget_from(args)
-    print(f"== {bench.title} | linearizability ({args.method}) | "
-          f"{args.threads} threads x {args.ops} ops ==")
-    spec_sink = (
-        CheckpointSink(args.spec_checkpoint) if args.spec_checkpoint else None
+    question = (
+        f"linearizability ({job.method})" if job.kind == "lin"
+        else "lock-freedom"
     )
-    spec_resume = (
-        load_checkpoint(args.spec_resume) if args.spec_resume else None
-    )
+    print(f"== {get(job.key).title} | {question} | "
+          f"{job.threads} threads x {job.ops} ops ==")
     on_the_fly = getattr(args, "on_the_fly", False)
-    if on_the_fly and args.method == "both":
+    if on_the_fly and job.method == "both":
         # The cross-check's whole point is two engines over one shared
         # full exploration; an early-exit lane would leave nothing for
         # the second engine to check against.
@@ -435,105 +416,44 @@ def cmd_lin(args) -> int:
         on_the_fly = False
     if on_the_fly and args.workers:
         print(f"note: --workers ignored: {STREAMING_SERIAL_REASON}")
-
-    def attempt_quotient(threads: int, ops: int, values: int,
-                         force_reduce: bool):
-        # Spec checkpoints are fingerprinted against the workload, and a
-        # degraded rung shrinks (threads, ops, values) -- resuming from
-        # (or overwriting) the original-config checkpoint there would be
-        # a CheckpointMismatch, so only the original configuration uses
-        # the spec checkpoint/resume files.
-        original = (threads, ops, values) == (
-            args.threads, args.ops, args.values
-        )
-        return check_linearizability(
-            bench.build(threads), bench.spec(),
-            num_threads=threads, ops_per_thread=ops,
-            workload=bench.default_workload(values),
-            max_states=args.max_states,
-            stats=sink(f"linearizability t={threads} ops={ops} v={values}"),
-            reduce=force_reduce or not args.no_reduce,
-            budget=budget,
-            workers=args.workers, fault_plan=args.fault_plan,
-            shard_states=args.shard_states,
-            remote=args.remote, remote_listen=args.remote_listen,
-            transport=args.transport,
-            heartbeat_timeout=args.heartbeat_timeout,
-            spec_checkpoint=spec_sink if original else None,
-            spec_resume=spec_resume if original else None,
-            engine=args.engine,
-            on_the_fly=on_the_fly,
-        )
-
-    def attempt_reach(threads: int, ops: int, values: int):
-        return check_linearizability_reachability(
-            bench.build(threads), bench.spec(),
-            num_threads=threads, ops_per_thread=ops,
-            workload=bench.default_workload(values),
-            max_states=args.max_states,
-            stats=sink(f"reachability t={threads} ops={ops} v={values}"),
-            budget=budget,
-            workers=args.workers, fault_plan=args.fault_plan,
-            shard_states=args.shard_states,
-            remote=args.remote, remote_listen=args.remote_listen,
-            transport=args.transport,
-            heartbeat_timeout=args.heartbeat_timeout,
-            on_the_fly=on_the_fly,
-        )
-
-    def attempt_both(threads: int, ops: int, values: int,
-                     force_reduce: bool):
-        # One shared exploration feeds both engines (the historical
-        # double exploration is gone); spec checkpoints stay pinned to
-        # the original configuration, same as attempt_quotient.
-        original = (threads, ops, values) == (
-            args.threads, args.ops, args.values
-        )
-        quotient, reachability = check_linearizability_both(
-            bench.build(threads), bench.spec(),
-            num_threads=threads, ops_per_thread=ops,
-            workload=bench.default_workload(values),
-            max_states=args.max_states,
-            stats_quotient=sink(
-                f"linearizability t={threads} ops={ops} v={values}"
-            ),
-            stats_reachability=sink(
-                f"reachability t={threads} ops={ops} v={values}"
-            ),
-            reduce=force_reduce or not args.no_reduce,
-            budget=budget,
-            workers=args.workers, fault_plan=args.fault_plan,
-            shard_states=args.shard_states,
-            remote=args.remote, remote_listen=args.remote_listen,
-            transport=args.transport,
-            heartbeat_timeout=args.heartbeat_timeout,
-            spec_checkpoint=spec_sink if original else None,
-            spec_resume=spec_resume if original else None,
-            engine=args.engine,
-        )
-        return _BothResult(quotient, reachability)
-
-    def attempt(threads: int, ops: int, values: int, force_reduce: bool):
-        if args.method == "quotient":
-            return attempt_quotient(threads, ops, values, force_reduce)
-        if args.method == "reachability":
-            return attempt_reach(threads, ops, values)
-        return attempt_both(threads, ops, values, force_reduce)
-
-    printer = {
-        "quotient": _print_lin,
-        "reachability": _print_reach,
-        "both": _print_both,
-    }[args.method]
+    spec_checkpoint = getattr(args, "spec_checkpoint", None)
+    spec_resume = getattr(args, "spec_resume", None)
+    lane = dict(parallel=args.parallel, stats=sink, on_the_fly=on_the_fly)
 
     with budget.install_sigint():
-        result = attempt(args.threads, args.ops, args.values, False)
-        printer(result)
-        result = _degrade_retry(args, budget, result, attempt, printer)
+        result = run_job(
+            job, budget, **lane,
+            spec_checkpoint=(
+                CheckpointSink(spec_checkpoint) if spec_checkpoint else None
+            ),
+            spec_resume=load_checkpoint(spec_resume) if spec_resume else None,
+        )
+        render(result)
+        if args.degrade:
+            # Spec checkpoints are fingerprinted against the workload,
+            # and every rung shrinks (threads, ops, values) -- resuming
+            # from (or overwriting) the original-config checkpoint there
+            # would be a CheckpointMismatch, so rungs run without them.
+            for threads, ops, values in _degrade_rungs(
+                job.threads, job.ops, job.values, args.degrade_steps
+            ):
+                exhaustion = result["exhaustion"]
+                if (
+                    result["verdict"] != UNKNOWN
+                    or exhaustion["reason"] == REASON_INTERRUPTED
+                ):
+                    break
+                print(f"degrade: retrying with reduction forced on and "
+                      f"--threads {threads} --ops {ops} --values {values}")
+                budget.restart()
+                result = run_job(
+                    replace(job, threads=threads, ops=ops, values=values,
+                            reduce=True),
+                    budget, **lane,
+                )
+                render(result, "degraded verdict")
     _emit_stats(args, sinks)
-    if getattr(result, "disagree", False):
-        return EXIT_DISAGREEMENT
-    return _verdict_exit(result)
+    return result["exit_code"]
 
 
 def _degrade_rungs(threads: int, ops: int, values: int, steps: int):
@@ -556,69 +476,6 @@ def _degrade_rungs(threads: int, ops: int, values: int, steps: int):
         yield threads, ops, values
 
 
-def _degrade_retry(args, budget, result, attempt, printer):
-    """Descend the workload lattice until a verdict completes in budget."""
-    if not getattr(args, "degrade", False):
-        return result
-    steps = getattr(args, "degrade_steps", 3)
-    for threads, ops, values in _degrade_rungs(
-        args.threads, args.ops, args.values, steps
-    ):
-        if (
-            result.verdict != UNKNOWN
-            or result.exhaustion.reason == REASON_INTERRUPTED
-        ):
-            return result
-        print(f"degrade: retrying with reduction forced on and "
-              f"--threads {threads} --ops {ops} --values {values}")
-        budget.restart()
-        result = attempt(threads, ops, values, True)
-        printer(result, "degraded verdict")
-    return result
-
-
-def cmd_lockfree(args) -> int:
-    """Lock-freedom with budget governance and a degradation ladder."""
-    bench, _workload, _config = _bench_and_config(args)
-    sinks, sink = _make_sinks(args)
-    budget = _budget_from(args)
-    print(f"== {bench.title} | lock-freedom | "
-          f"{args.threads} threads x {args.ops} ops ==")
-
-    def attempt(threads: int, ops: int, values: int, force_reduce: bool):
-        return check_lock_freedom_auto(
-            bench.build(threads),
-            num_threads=threads, ops_per_thread=ops,
-            workload=bench.default_workload(values),
-            max_states=args.max_states,
-            method=args.method,
-            stats=sink(f"lock-freedom t={threads} ops={ops} v={values}"),
-            reduce=force_reduce or not args.no_reduce,
-            budget=budget,
-            workers=args.workers, fault_plan=args.fault_plan,
-            shard_states=args.shard_states,
-            remote=args.remote, remote_listen=args.remote_listen,
-            transport=args.transport,
-            heartbeat_timeout=args.heartbeat_timeout,
-            engine=args.engine,
-        )
-
-    def printer(result, label: str = "lock-free") -> None:
-        if result.exhaustion is not None:
-            _report_exhaustion(label, result)
-            return
-        print(f"{label}: {result.verdict}  ({result.seconds:.2f}s)")
-        if result.lock_free is False:
-            print(result.render_diagnostic())
-
-    with budget.install_sigint():
-        result = attempt(args.threads, args.ops, args.values, False)
-        printer(result)
-        result = _degrade_retry(args, budget, result, attempt, printer)
-    _emit_stats(args, sinks)
-    return _verdict_exit(result)
-
-
 def cmd_explore(args) -> int:
     global _ACTIVE_SINKS
     bench, _workload, config = _bench_and_config(args)
@@ -631,13 +488,8 @@ def cmd_explore(args) -> int:
     with budget.install_sigint():
         try:
             system = maybe_parallel_explore(
-                bench.build(args.threads), config,
-                workers=args.workers, fault_plan=args.fault_plan,
-                shard_states=args.shard_states,
-                remote=args.remote, remote_listen=args.remote_listen,
-                transport=args.transport,
-                heartbeat_timeout=args.heartbeat_timeout, stats=stats,
-                budget=budget, checkpoint=sink, resume=resume,
+                bench.build(args.threads), config, parallel=args.parallel,
+                stats=stats, budget=budget, checkpoint=sink, resume=resume,
             )
         except BudgetExhausted as exc:
             print(f"UNKNOWN -- {exc.exhaustion.render()}")
@@ -646,9 +498,7 @@ def cmd_explore(args) -> int:
                       f"(resume with --resume {args.checkpoint})")
             if stats is not None:
                 _emit_stats(args, {"explore": stats})
-            if exc.exhaustion.reason == REASON_INTERRUPTED:
-                return EXIT_INTERRUPTED
-            return EXIT_UNKNOWN
+            return exit_code(UNKNOWN, exc.exhaustion.reason)
     write_aut(system, args.out)
     print(f"{bench.key}: {system.num_states} states, "
           f"{system.num_transitions} transitions -> {args.out}")
@@ -681,9 +531,7 @@ def cmd_quotient(args) -> int:
             print(f"UNKNOWN -- {exc.exhaustion.render()}")
             if stats is not None:
                 _emit_stats(args, {"quotient": stats})
-            if exc.exhaustion.reason == REASON_INTERRUPTED:
-                return EXIT_INTERRUPTED
-            return EXIT_UNKNOWN
+            return exit_code(UNKNOWN, exc.exhaustion.reason)
     if stats is not None:
         stats.count("impl_states", quotient.lts.num_states)
     write_aut(quotient.lts, args.out)
@@ -720,9 +568,7 @@ def cmd_compare(args) -> int:
             print(f"UNKNOWN -- {exc.exhaustion.render()}")
             if stats is not None:
                 _emit_stats(args, {"compare": stats})
-            if exc.exhaustion.reason == REASON_INTERRUPTED:
-                return EXIT_INTERRUPTED
-            return EXIT_UNKNOWN
+            return exit_code(UNKNOWN, exc.exhaustion.reason)
 
 
 def _compare_governed(args, left, right, stats, budget) -> int:
@@ -856,75 +702,11 @@ def cmd_worker(args) -> int:
     return 0
 
 
-def _print_service_result(result: Dict) -> None:
-    """Render a service result dict the way the direct commands do."""
-    notes = []
-    if result.get("cached"):
-        notes.append("served from cache (no re-exploration)")
-    if result.get("resumed"):
-        notes.append("resumed from checkpoint")
-    if notes:
-        print("note: " + "; ".join(notes))
-    if result.get("error"):
-        print(f"job error: {result['error']}")
-    label = {"lin": "linearizable", "lockfree": "lock-free",
-             "explore": "explored"}[result["kind"]]
-    if result.get("exhaustion") is not None:
-        print(f"{label}: UNKNOWN -- {result['exhaustion']['render']}")
-        return
-    if result["kind"] == "explore":
-        print(f"{result['key']}: {result['impl_states']} states, "
-              f"{result['impl_transitions']} transitions")
-        return
-    if result["kind"] == "lockfree":
-        print(f"states {result['impl_states']} -> quotient "
-              f"{result['quotient_states']}")
-        print(f"{label}: {result['verdict']}  ({result['seconds']:.2f}s)")
-        if result.get("diagnostic"):
-            print(result["diagnostic"])
-        return
-    # lin
-    if result["method"] == "both":
-        for name in ("quotient", "reachability"):
-            engine = result[name]
-            print(f"{label} [{name}]: {engine['verdict']}")
-            if engine.get("counterexample"):
-                print(engine["counterexample"])
-        if result.get("disagree"):
-            print("ERROR: verdict engines disagree -- "
-                  f"quotient={result['quotient']['verdict']} "
-                  f"reachability={result['reachability']['verdict']}")
-        else:
-            print(f"{label}: {result['verdict']}  (both engines agree)")
-        return
-    if result["method"] == "quotient":
-        print(f"states {result['impl_states']} -> quotient "
-              f"{result['quotient_states']}")
-    else:
-        print(f"states {result['impl_states']} -> product "
-              f"{result['product_states']} "
-              f"({result['monitor_states']} monitor sets)")
-    print(f"{label}: {result['verdict']}  ({result['seconds']:.2f}s)")
-    if result.get("counterexample"):
-        print(result["counterexample"])
-
-
 def cmd_submit(args) -> int:
     """Submit one job to a running daemon and wait for the verdict."""
     from .service import ServiceError, SubmissionRejected, submit_request
 
-    request = {
-        "kind": args.kind,
-        "key": args.key,
-        "threads": args.threads,
-        "ops": args.ops,
-        "values": args.values,
-        "max_states": args.max_states,
-        "method": args.method,
-        "reduce": not args.no_reduce,
-        "engine": args.engine,
-        "deadline": args.deadline,
-    }
+    request = dict(_job_fields(args), deadline=args.deadline)
     print(f"== {args.key} | {args.kind} via {args.socket} | "
           f"{args.threads} threads x {args.ops} ops ==")
 
@@ -974,7 +756,7 @@ def cmd_submit(args) -> int:
         # resubmission will hit the cache or resume the checkpoint.
         print(f"service error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    _print_service_result(result)
+    render(result)
     return result["exit_code"]
 
 
@@ -1001,6 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("lockfree", "lock-freedom only, three-valued verdict"),
     ):
         sub = commands.add_parser(name, help=help_text)
+        sub.set_defaults(kind=name)
         sub.add_argument("key", choices=sorted(BENCHMARKS))
         _add_bounds(sub)
         _add_stats(sub)
@@ -1198,8 +981,8 @@ def build_parser() -> argparse.ArgumentParser:
 HANDLERS = {
     "list": cmd_list,
     "verify": cmd_verify,
-    "lin": cmd_lin,
-    "lockfree": cmd_lockfree,
+    "lin": cmd_job,
+    "lockfree": cmd_job,
     "explore": cmd_explore,
     "quotient": cmd_quotient,
     "compare": cmd_compare,
@@ -1212,7 +995,10 @@ HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "workers"):
+        args.parallel = _parallel_from(parser, args)
     try:
         return HANDLERS[args.command](args)
     except KeyboardInterrupt:

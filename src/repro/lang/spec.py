@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional,
 from ..core.lts import LTS, LTSBuilder, TAU
 from ..util.budget import BudgetExhausted
 from .checkpoint import Checkpoint, CheckpointSink, spec_fingerprint
-from .client import StateExplosion, Workload
+from .client import ClientConfig, StateExplosion, Workload
 from .state import ModelError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -106,12 +106,12 @@ def _spec_lts(
     for mname, _args in workload:
         spec.method(mname)
 
-    if isinstance(ops_per_thread, int):
-        budgets = tuple(ops_per_thread for _ in range(num_threads))
-    else:
-        budgets = tuple(ops_per_thread)
-        if len(budgets) != num_threads:
-            raise ModelError("one budget per thread required")
+    # The specification obeys the same bounds and state cap rules as
+    # the implementation it is checked against (``None`` = the default
+    # cap, ``0`` = no cap).
+    config = ClientConfig(num_threads, ops_per_thread, workload, max_states)
+    budgets = config.budgets()
+    max_states = config.effective_max_states()
 
     run_id = None
     if checkpoint is not None or resume is not None:

@@ -134,7 +134,12 @@ def _same_content(a: Any, b: Any) -> bool:
 
 @dataclass
 class ParallelConfig:
-    """Tuning knobs of the sharded exploration supervisor."""
+    """Tuning knobs of the sharded exploration supervisor.
+
+    Validated on construction (``ValueError``), so a bad transport,
+    worker count or heartbeat window is refused before any worker is
+    provisioned -- the CLI reports it as a usage error.
+    """
 
     #: Worker process target.  ``1`` still exercises the full protocol
     #: (one child); the CLI maps ``--workers 0`` to plain serial explore
@@ -171,8 +176,8 @@ class ParallelConfig:
     #: are emitted *between* state expansions (no timer thread in the
     #: child), so this is a lower bound on heartbeat spacing, and it
     #: must stay well below ``heartbeat_timeout`` (the supervisor-side
-    #: grace) or every slow shard would be shot as hung -- the
-    #: supervisor validates ``heartbeat_seconds < heartbeat_timeout``.
+    #: grace) or every slow shard would be shot as hung -- construction
+    #: validates ``heartbeat_seconds < heartbeat_timeout``.
     #: Service daemons on loaded hosts raise both together.
     heartbeat_seconds: float = 0.25
     #: Injected failures (``kill:1@40,stall:*@10`` ...); see
@@ -199,6 +204,41 @@ class ParallelConfig:
     #: Bound on one blocking frame send to a remote worker, seconds;
     #: past it the connection is treated as lost.
     remote_send_timeout: float = 30.0
+
+    def __post_init__(self) -> None:
+        wants_remote = bool(self.remote) or self.remote_listen is not None
+        if self.transport not in ("auto", "local", "remote", "mixed"):
+            raise ValueError(
+                f"ParallelConfig.transport must be auto/local/remote/mixed, "
+                f"not {self.transport!r}"
+            )
+        if self.transport in ("remote", "mixed") and not wants_remote:
+            raise ValueError(
+                f"transport {self.transport!r} needs remote addresses or a "
+                "remote_listen endpoint"
+            )
+        if self.workers < 1 and not wants_remote:
+            raise ValueError("ParallelConfig.workers must be >= 1")
+        if self.heartbeat_seconds <= 0:
+            raise ValueError("ParallelConfig.heartbeat_seconds must be > 0")
+        if self.heartbeat_seconds >= self.heartbeat_timeout:
+            # A heartbeat interval at (or past) the hang deadline would
+            # make every busy worker look stalled; refuse the config
+            # instead of silently kill-looping (see docs/ROBUSTNESS.md).
+            raise ValueError(
+                "ParallelConfig.heartbeat_seconds "
+                f"({self.heartbeat_seconds}) must be smaller than "
+                f"heartbeat_timeout ({self.heartbeat_timeout})"
+            )
+
+    def transport_kind(self) -> str:
+        """``transport`` with ``auto`` resolved: remote iff remote
+        addresses or an agent listener are configured."""
+        if self.transport != "auto":
+            return self.transport
+        if self.remote or self.remote_listen is not None:
+            return "remote"
+        return "local"
 
     def backoff_policy(self) -> BackoffPolicy:
         """The requeue delay schedule as a shared policy object."""
@@ -323,33 +363,7 @@ class Supervisor:
         budget: Optional[RunBudget] = None,
         stats: Optional[Stats] = None,
     ) -> None:
-        transport_kind = parallel.transport or "auto"
-        wants_remote = bool(parallel.remote) or parallel.remote_listen is not None
-        if transport_kind == "auto":
-            transport_kind = "remote" if wants_remote else "local"
-        if transport_kind not in ("local", "remote", "mixed"):
-            raise ValueError(
-                f"ParallelConfig.transport must be auto/local/remote/mixed, "
-                f"not {parallel.transport!r}"
-            )
-        if transport_kind != "local" and not wants_remote:
-            raise ValueError(
-                f"transport {transport_kind!r} needs remote addresses or a "
-                "remote_listen endpoint"
-            )
-        if parallel.workers < 1 and not wants_remote:
-            raise ValueError("ParallelConfig.workers must be >= 1")
-        if parallel.heartbeat_seconds <= 0:
-            raise ValueError("ParallelConfig.heartbeat_seconds must be > 0")
-        if parallel.heartbeat_seconds >= parallel.heartbeat_timeout:
-            # A heartbeat interval at (or past) the hang deadline would
-            # make every busy worker look stalled; refuse the config
-            # instead of silently kill-looping (see docs/ROBUSTNESS.md).
-            raise ValueError(
-                "ParallelConfig.heartbeat_seconds "
-                f"({parallel.heartbeat_seconds}) must be smaller than "
-                f"heartbeat_timeout ({parallel.heartbeat_timeout})"
-            )
+        transport_kind = parallel.transport_kind()
         self.backoff_policy = parallel.backoff_policy()
         self.program = program
         self.config = config
@@ -1018,13 +1032,7 @@ STREAMING_SERIAL_REASON = (
 def maybe_parallel_explore(
     program: Any,
     config: Any,
-    workers: int = 0,
-    fault_plan: Any = None,
-    shard_states: Optional[int] = None,
-    remote: Any = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
-    heartbeat_timeout: Optional[float] = None,
+    parallel: Optional[ParallelConfig] = None,
     stats: Optional[Stats] = None,
     budget: Optional[RunBudget] = None,
     checkpoint: Optional[CheckpointSink] = None,
@@ -1032,48 +1040,19 @@ def maybe_parallel_explore(
 ) -> Any:
     """Serial or sharded exploration behind one signature.
 
-    ``workers >= 1`` builds a supervisor (``fault_plan`` may be a spec
-    string or a :class:`FaultPlan`); ``workers == 0`` is plain in-process
-    :func:`repro.lang.client.explore`.  The verification pipelines call
-    this so ``--workers`` reaches ``lin`` / ``lockfree`` unchanged.
-
-    ``remote`` (a comma-separated spec string or a sequence of
-    addresses), ``remote_listen`` and ``transport`` configure the
-    remote worker pool; any of them implies a parallel run even with
-    ``workers == 0``, in which case the worker target defaults to the
-    number of remote addresses.
+    ``parallel=None`` is plain in-process
+    :func:`repro.lang.client.explore`; a :class:`ParallelConfig` shards
+    the exploration through a supervisor.  The verification pipelines
+    call this so one ``parallel=`` argument reaches ``lin`` /
+    ``lockfree`` unchanged.
     """
-    if isinstance(remote, str):
-        remote_addrs: Tuple[str, ...] = tuple(
-            part.strip() for part in remote.split(",") if part.strip()
-        )
-    else:
-        remote_addrs = tuple(remote or ())
-    wants_remote = (
-        bool(remote_addrs)
-        or remote_listen is not None
-        or transport in ("remote", "mixed")
-    )
-    if (not workers or workers < 1) and not wants_remote:
+    if parallel is None:
         from ..lang.client import explore
 
         return explore(
             program, config, stats=stats, budget=budget,
             checkpoint=checkpoint, resume=resume,
         )
-    if isinstance(fault_plan, str):
-        fault_plan = FaultPlan.parse(fault_plan)
-    parallel = ParallelConfig(
-        workers=max(workers or 0, 0),
-        fault_plan=fault_plan,
-        remote=remote_addrs,
-        remote_listen=remote_listen,
-        transport=transport or "auto",
-    )
-    if shard_states is not None:
-        parallel.shard_states = shard_states
-    if heartbeat_timeout is not None:
-        parallel.heartbeat_timeout = heartbeat_timeout
     return parallel_explore(
         program, config, parallel, stats=stats, budget=budget,
         checkpoint=checkpoint, resume=resume,

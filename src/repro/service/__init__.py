@@ -29,8 +29,8 @@ from .channel import (
 from .client import ServiceClient, SubmissionRejected, submit_request
 from .daemon import DaemonConfig, VerificationDaemon
 from .messages import (
-    build_request,
     cache_key,
+    parse_submission,
     request_cache_key,
     service_fingerprint,
 )
@@ -45,9 +45,9 @@ __all__ = [
     "SocketFrameChannel",
     "SubmissionRejected",
     "VerificationDaemon",
-    "build_request",
     "cache_key",
     "parse_address",
+    "parse_submission",
     "request_cache_key",
     "service_fingerprint",
     "submit_request",

@@ -23,9 +23,9 @@ import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from ..lang import ClientConfig
 from ..lang.checkpoint import fingerprint
 from ..objects import get
+from ..verify.jobs import Job
 
 # ----------------------------------------------------------------------
 # client -> daemon
@@ -46,87 +46,37 @@ MSG_STATUS_REPLY = "status-reply"  # (MSG_STATUS_REPLY, status_dict)
 MSG_PONG = "pong"            # (MSG_PONG,)
 MSG_CLOSING = "closing"      # (MSG_CLOSING, reason_str) -- graceful shutdown
 
-#: Request kinds the job queue accepts.
-KINDS = ("lin", "lockfree", "explore")
+def parse_submission(payload: Any) -> Tuple[Job, Optional[float]]:
+    """Split one submitted request dict into its :class:`Job` and its
+    per-job ``deadline`` (seconds, or None).
 
-
-def build_request(
-    kind: str,
-    key: str,
-    threads: int = 2,
-    ops: int = 2,
-    values: int = 2,
-    max_states: Optional[int] = None,
-    method: Optional[str] = None,
-    reduce: bool = True,
-    engine: Optional[str] = None,
-    deadline: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Normalize one verification request into its canonical dict.
-
-    Raises ``ValueError`` for unknown kinds/objects -- the daemon calls
-    this on every received request, so a malformed submission is a
+    Raises ``TypeError`` / ``ValueError`` for a malformed request -- the
+    daemon calls this on every received submission, so a bad one is a
     per-connection error, never a daemon crash.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown request kind {kind!r} (expected {KINDS})")
-    try:
-        get(key)
-    except KeyError:
-        raise ValueError(f"unknown benchmark object {key!r}")
-    if threads < 1 or ops < 1 or values < 1:
-        raise ValueError("threads/ops/values must all be >= 1")
-    if method is None:
-        method = "quotient" if kind == "lin" else (
-            "union" if kind == "lockfree" else None
-        )
-    if kind == "lin" and method not in ("quotient", "reachability", "both"):
-        raise ValueError(f"unknown lin method {method!r}")
-    if kind == "lockfree" and method not in ("union", "tau-cycle"):
-        raise ValueError(f"unknown lockfree method {method!r}")
-    return {
-        "kind": kind,
-        "key": key,
-        "threads": int(threads),
-        "ops": int(ops),
-        "values": int(values),
-        "max_states": max_states,
-        "method": method,
-        "reduce": bool(reduce),
-        "engine": engine,
-        "deadline": deadline,
-    }
+    if not isinstance(payload, dict):
+        raise ValueError("submission payload must be a dict")
+    fields = dict(payload)
+    deadline = fields.pop("deadline", None)
+    return Job(**fields), deadline
 
 
-def request_program_config(request: Dict[str, Any]) -> Tuple[Any, Any, Any]:
-    """``(bench, program, config)`` for a normalized request."""
-    bench = get(request["key"])
-    workload = bench.default_workload(request["values"])
-    program = bench.build(request["threads"])
-    config = ClientConfig(
-        num_threads=request["threads"],
-        ops_per_thread=request["ops"],
-        workload=workload,
-        max_states=request["max_states"],
-    )
-    return bench, program, config
-
-
-def service_fingerprint(request: Dict[str, Any]) -> Dict[str, Any]:
-    """The cache-identity of a request (see module docstring).
+def service_fingerprint(job: Job) -> Dict[str, Any]:
+    """The cache-identity of a job (see module docstring).
 
     Reuses the checkpoint fingerprint for the exploration identity and
     adds the property being checked.  Deliberately excluded: resource
-    caps (``max_states``, ``deadline``), performance toggles
-    (``reduce``, ``engine``) -- none of them can change a *decided*
-    verdict, and only decided verdicts are ever cached.
+    caps (``max_states``, and the submission's ``deadline``, which is
+    not part of the job at all), performance toggles (``reduce``,
+    ``engine``) -- none of them can change a *decided* verdict, and only
+    decided verdicts are ever cached.
     """
-    _bench, program, config = request_program_config(request)
     return {
         "schema": "repro.service-fingerprint/v1",
-        "kind": request["kind"],
-        "method": request["method"],
-        "impl": fingerprint(program, config),
+        "kind": job.kind,
+        "method": job.method,
+        "impl": fingerprint(get(job.key).build(job.threads),
+                            job.client_config()),
     }
 
 
@@ -155,6 +105,6 @@ def cache_key(fingerprint_dict: Dict[str, Any]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def request_cache_key(request: Dict[str, Any]) -> str:
-    """Convenience: the cache key of a normalized request."""
-    return cache_key(service_fingerprint(request))
+def request_cache_key(job: Job) -> str:
+    """Convenience: the cache key of a job."""
+    return cache_key(service_fingerprint(job))

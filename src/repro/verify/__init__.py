@@ -7,13 +7,12 @@
   abstract program, divergence-sensitive)
 * :func:`check_linearizability_reachability` -- the independent second
   verdict engine (BEEH reduction to state reachability)
+* :class:`Job` / :func:`run_job` / :func:`render` -- one ``lin`` /
+  ``lockfree`` / ``explore`` request answered and printed the same way
+  by the CLI and the service daemon
 """
 
-from .linearizability import (
-    LinearizabilityResult,
-    check_linearizability,
-    check_linearizability_both,
-)
+from .linearizability import LinearizabilityResult, check_linearizability
 from .reachability import (
     ReachabilityResult,
     ReachabilitySearch,
@@ -33,11 +32,11 @@ from .obstruction import (
     solo_tau_cycle_states,
     transition_thread,
 )
+from .jobs import Job, render, run_job
 
 __all__ = [
     "LinearizabilityResult",
     "check_linearizability",
-    "check_linearizability_both",
     "ReachabilityResult",
     "ReachabilitySearch",
     "check_linearizability_reachability",
@@ -51,4 +50,7 @@ __all__ = [
     "check_obstruction_freedom",
     "solo_tau_cycle_states",
     "transition_thread",
+    "Job",
+    "render",
+    "run_job",
 ]

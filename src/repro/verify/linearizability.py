@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional
 
 from ..core import (
     AnyLTS,
@@ -30,12 +30,9 @@ from ..lang import (
 )
 from ..lang.checkpoint import Checkpoint, CheckpointSink
 from ..lang.client import Workload
-from ..parallel import maybe_parallel_explore
+from ..parallel import ParallelConfig, maybe_parallel_explore
 from ..util.budget import BudgetExhausted, Exhaustion, RunBudget, verdict_of
 from ..util.metrics import Stats, stage
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .reachability import ReachabilityResult
 
 
 @dataclass
@@ -115,13 +112,7 @@ def check_linearizability(
     stats: Optional[Stats] = None,
     reduce: bool = True,
     budget: Optional[RunBudget] = None,
-    workers: int = 0,
-    fault_plan: Optional[Any] = None,
-    shard_states: Optional[int] = None,
-    remote: Optional[Any] = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
-    heartbeat_timeout: Optional[float] = None,
+    parallel: Optional[ParallelConfig] = None,
     spec_checkpoint: Optional[CheckpointSink] = None,
     spec_resume: Optional[Checkpoint] = None,
     engine: Optional[str] = None,
@@ -150,9 +141,9 @@ def check_linearizability(
     ``linearizable=None`` (verdict ``UNKNOWN``) carrying the exhaustion
     record -- it never raises.
 
-    ``workers >= 1`` shards the object-system exploration across that
-    many worker processes (:mod:`repro.parallel`); the result is
-    byte-identical to serial exploration.  ``spec_checkpoint`` /
+    ``parallel`` (a :class:`~repro.parallel.ParallelConfig`; ``None``
+    means serial) shards the object-system exploration across worker
+    processes; the result is byte-identical to serial exploration.  ``spec_checkpoint`` /
     ``spec_resume`` checkpoint the specification-LTS generation so an
     interrupted ``lin`` run does not regenerate it from scratch.
 
@@ -167,14 +158,14 @@ def check_linearizability(
     drain falls back to the unchanged full explore + splitter +
     refinement pipeline for the TRUE verdict.  Streaming consumes
     expansions in order, which the sharded supervisor cannot reproduce,
-    so ``workers`` is ignored in this mode (documented serial degrade:
+    so ``parallel`` is ignored in this mode (documented serial degrade:
     :data:`repro.parallel.STREAMING_SERIAL_REASON`; the stats sink
     counts ``onthefly_serial_degradations``).
 
     ``impl_system``, when given, is a pre-explored object system to
-    check instead of exploring here (the ``lin --method both``
-    shared-exploration path -- see :func:`check_linearizability_both`);
-    ``on_the_fly`` is ignored with a shared system.
+    check instead of exploring here (the shared-exploration path of
+    :func:`repro.verify.jobs.run_job`); ``on_the_fly`` and ``parallel``
+    are ignored with a shared system.
     """
     if workload is None:
         raise ValueError("a workload (method/argument universe) is required")
@@ -191,7 +182,7 @@ def check_linearizability(
     t0 = t1 = t2 = t3 = time.perf_counter()
     try:
         if fused:
-            if workers and stats is not None:
+            if parallel is not None and stats is not None:
                 stats.count("onthefly_serial_degradations", 1)
             # The mismatch check needs the spec system first.
             spec_system = spec_lts(
@@ -240,11 +231,8 @@ def check_linearizability(
                     stats.count("shared_impl_states", impl.num_states)
             else:
                 impl = maybe_parallel_explore(
-                    program, config, workers=workers, fault_plan=fault_plan,
-                    shard_states=shard_states,
-                    remote=remote, remote_listen=remote_listen,
-                    transport=transport,
-                    heartbeat_timeout=heartbeat_timeout, stats=stats, budget=budget,
+                    program, config, parallel=parallel, stats=stats,
+                    budget=budget,
                 )
             impl_states = impl.num_states
             spec_system = spec_lts(
@@ -319,114 +307,3 @@ def check_linearizability(
         ),
     )
 
-
-def check_linearizability_both(
-    program: ObjectProgram,
-    spec: SpecObject,
-    num_threads: int = 2,
-    ops_per_thread: int = 2,
-    workload: Optional[Workload] = None,
-    max_states: Optional[int] = None,
-    stats_quotient: Optional[Stats] = None,
-    stats_reachability: Optional[Stats] = None,
-    reduce: bool = True,
-    budget: Optional[RunBudget] = None,
-    workers: int = 0,
-    fault_plan: Optional[Any] = None,
-    shard_states: Optional[int] = None,
-    remote: Optional[Any] = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
-    heartbeat_timeout: Optional[float] = None,
-    spec_checkpoint: Optional[CheckpointSink] = None,
-    spec_resume: Optional[Checkpoint] = None,
-    engine: Optional[str] = None,
-) -> Tuple[LinearizabilityResult, "ReachabilityResult"]:
-    """Run both verdict engines over one shared exploration.
-
-    ``lin --method both`` used to explore the same object system twice
-    -- once per engine.  This helper explores exactly once (including
-    ``workers``-way sharding) and hands the frozen system to both
-    pipelines via their ``impl_system`` parameter; each engine's report
-    then carries the shared exploration time.  The two engines must see
-    the same state count by construction -- that invariant is asserted
-    here because a disagreement between their verdicts is only
-    meaningful when their inputs are identical.
-
-    Exhaustion during the shared exploration yields *two* UNKNOWN
-    results carrying the same exhaustion record, mirroring what two
-    independent exhausted pipelines would have returned.
-    """
-    from .reachability import ReachabilityResult, check_linearizability_reachability
-
-    if workload is None:
-        raise ValueError("a workload (method/argument universe) is required")
-    config = ClientConfig(
-        num_threads=num_threads,
-        ops_per_thread=ops_per_thread,
-        workload=workload,
-        max_states=max_states,
-    )
-    t0 = time.perf_counter()
-    try:
-        impl = maybe_parallel_explore(
-            program, config, workers=workers, fault_plan=fault_plan,
-            shard_states=shard_states,
-            remote=remote, remote_listen=remote_listen,
-            transport=transport, heartbeat_timeout=heartbeat_timeout,
-            stats=stats_quotient, budget=budget,
-        )
-    except BudgetExhausted as exc:
-        elapsed = time.perf_counter() - t0
-        quotient_result = LinearizabilityResult(
-            object_name=program.name,
-            linearizable=None,
-            counterexample=None,
-            impl_states=0,
-            impl_quotient_states=0,
-            spec_states=0,
-            spec_quotient_states=0,
-            num_threads=num_threads,
-            ops_per_thread=ops_per_thread,
-            explore_seconds=elapsed,
-            quotient_seconds=0.0,
-            refinement_seconds=0.0,
-            stats=stats_quotient,
-            exhaustion=exc.exhaustion,
-        )
-        reachability_result = ReachabilityResult(
-            object_name=program.name,
-            linearizable=None,
-            counterexample=None,
-            impl_states=0,
-            product_states=0,
-            monitor_states=0,
-            num_threads=num_threads,
-            ops_per_thread=ops_per_thread,
-            explore_seconds=elapsed,
-            check_seconds=0.0,
-            stats=stats_reachability,
-            exhaustion=exc.exhaustion,
-        )
-        return quotient_result, reachability_result
-    explore_seconds = time.perf_counter() - t0
-    quotient_result = check_linearizability(
-        program, spec, num_threads, ops_per_thread, workload=workload,
-        max_states=max_states, stats=stats_quotient, reduce=reduce,
-        budget=budget, spec_checkpoint=spec_checkpoint,
-        spec_resume=spec_resume, engine=engine, impl_system=impl,
-    )
-    reachability_result = check_linearizability_reachability(
-        program, spec, num_threads, ops_per_thread, workload=workload,
-        max_states=max_states, stats=stats_reachability, budget=budget,
-        impl_system=impl,
-    )
-    if quotient_result.impl_states != reachability_result.impl_states:
-        raise AssertionError(
-            "shared exploration diverged between engines: quotient saw "
-            f"{quotient_result.impl_states} states, reachability "
-            f"{reachability_result.impl_states}"
-        )
-    quotient_result.explore_seconds += explore_seconds
-    reachability_result.explore_seconds += explore_seconds
-    return quotient_result, reachability_result

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from ..core import (
     Lasso,
@@ -30,7 +30,7 @@ from ..core import (
 )
 from ..lang import ClientConfig, ObjectProgram, explore
 from ..lang.client import Workload
-from ..parallel import maybe_parallel_explore
+from ..parallel import ParallelConfig, maybe_parallel_explore
 from ..util.budget import BudgetExhausted, Exhaustion, RunBudget, verdict_of
 from ..util.metrics import Stats, stage
 
@@ -77,13 +77,7 @@ def check_lock_freedom_auto(
     stats: Optional[Stats] = None,
     reduce: bool = True,
     budget: Optional[RunBudget] = None,
-    workers: int = 0,
-    fault_plan=None,
-    shard_states: Optional[int] = None,
-    remote: Optional[Any] = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
-    heartbeat_timeout: Optional[float] = None,
+    parallel: Optional[ParallelConfig] = None,
     engine: Optional[str] = None,
     impl_system=None,
 ) -> LockFreedomResult:
@@ -115,10 +109,13 @@ def check_lock_freedom_auto(
     end to end: exhaustion yields ``lock_free=None`` (``UNKNOWN``) with
     the exhaustion record attached -- it never raises.
 
+    ``parallel`` (a :class:`~repro.parallel.ParallelConfig`; ``None``
+    means serial) shards the exploration across worker processes.
     ``impl_system``, when given, is a pre-explored object system to
-    check instead of exploring here (the verification service daemon
-    explores once, under checkpoint/resume, and shares the frozen
-    system); it must come from the same program and bounds.
+    check instead of exploring here (:func:`repro.verify.jobs.run_job`
+    explores once, under checkpoint/resume for the service daemon, and
+    shares the frozen system); it must come from the same program and
+    bounds, and ``parallel`` is then ignored.
     """
     if workload is None:
         raise ValueError("a workload (method/argument universe) is required")
@@ -134,19 +131,13 @@ def check_lock_freedom_auto(
     t0 = time.perf_counter()
     try:
         if impl_system is not None:
-            # A pre-explored object system (the service daemon explores
-            # once -- with checkpoint/resume -- and shares the result,
-            # mirroring check_linearizability's impl_system path).
             impl = impl_system
             if stats is not None:
                 stats.count("shared_impl_states", impl.num_states)
         else:
             impl = maybe_parallel_explore(
-                program, config, workers=workers, fault_plan=fault_plan,
-                shard_states=shard_states,
-                remote=remote, remote_listen=remote_listen,
-                transport=transport, heartbeat_timeout=heartbeat_timeout,
-                stats=stats, budget=budget,
+                program, config, parallel=parallel, stats=stats,
+                budget=budget,
             )
         impl_states = impl.num_states
         with stage(stats, "quotient"):

@@ -60,7 +60,7 @@ from ..core.lts import TAU_ID, AnyLTS
 from ..lang import ClientConfig, ObjectProgram, SpecObject, StreamingExplorer
 from ..lang.client import Workload
 from ..lang.state import ModelError
-from ..parallel import maybe_parallel_explore
+from ..parallel import ParallelConfig, maybe_parallel_explore
 from ..util.budget import (
     PHASE_EXPLORE_REACHABILITY,
     BudgetExhausted,
@@ -512,21 +512,16 @@ def check_linearizability_reachability(
     max_states: Optional[int] = None,
     stats: Optional[Stats] = None,
     budget: Optional[RunBudget] = None,
-    workers: int = 0,
-    fault_plan: Optional[Any] = None,
-    shard_states: Optional[int] = None,
-    remote: Optional[Any] = None,
-    remote_listen: Optional[str] = None,
-    transport: Optional[str] = None,
-    heartbeat_timeout: Optional[float] = None,
+    parallel: Optional[ParallelConfig] = None,
     on_the_fly: bool = False,
     impl_system: Optional[AnyLTS] = None,
 ) -> ReachabilityResult:
     """Run the full BEEH reachability pipeline for one object.
 
     Explores the object system under the most-general client (the same
-    exploration core as the quotient pipeline, including ``workers``-way
-    sharded exploration via :mod:`repro.parallel`), then searches the
+    exploration core as the quotient pipeline, including sharded
+    exploration via ``parallel=`` and :mod:`repro.parallel`), then
+    searches the
     implementation x specification-monitor product for a reachable
     violation.  At equal ``(num_threads, ops_per_thread, workload)``
     bounds the verdict provably matches
@@ -538,7 +533,7 @@ def check_linearizability_reachability(
     (:func:`reachability_search_streaming`): same verdict, but a
     violation is reported after expanding only the states the search
     actually touched.  Streaming consumes expansions in search order,
-    which the sharded supervisor cannot reproduce, so ``workers`` is
+    which the sharded supervisor cannot reproduce, so ``parallel`` is
     ignored in this mode (documented serial degrade --
     :data:`repro.parallel.STREAMING_SERIAL_REASON`; the stats sink
     records an ``onthefly_serial_degradations`` counter when it
@@ -546,9 +541,9 @@ def check_linearizability_reachability(
 
     ``impl_system``, when given, is a pre-explored object system to
     check instead of exploring here -- used by
-    :func:`~repro.verify.linearizability.check_linearizability_both` so
-    ``lin --method both`` explores once and shares the result.  It must
-    come from the same program/bounds; ``on_the_fly`` is ignored with a
+    :func:`~repro.verify.jobs.run_job` so ``lin --method both`` explores
+    once and shares the result.  It must come from the same
+    program/bounds; ``on_the_fly`` and ``parallel`` are ignored with a
     shared system (there is nothing left to stream).
 
     With a :class:`~repro.util.metrics.Stats` sink the pipeline records
@@ -572,7 +567,7 @@ def check_linearizability_reachability(
     t0 = t1 = time.perf_counter()
     try:
         if fused:
-            if workers and stats is not None:
+            if parallel is not None and stats is not None:
                 stats.count("onthefly_serial_degradations", 1)
             explorer = StreamingExplorer(
                 program, config, budget=budget, cache_edges=True,
@@ -589,11 +584,8 @@ def check_linearizability_reachability(
                     stats.count("shared_impl_states", impl.num_states)
             else:
                 impl = maybe_parallel_explore(
-                    program, config, workers=workers, fault_plan=fault_plan,
-                    shard_states=shard_states,
-                    remote=remote, remote_listen=remote_listen,
-                    transport=transport,
-                    heartbeat_timeout=heartbeat_timeout, stats=stats, budget=budget,
+                    program, config, parallel=parallel, stats=stats,
+                    budget=budget,
                 )
             impl_states = impl.num_states
             t1 = time.perf_counter()

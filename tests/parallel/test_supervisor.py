@@ -77,10 +77,11 @@ def test_single_worker_still_uses_the_protocol():
 
 def test_maybe_parallel_explore_dispatch():
     program, config = _bench_config("treiber")
-    serial = dumps_aut(maybe_parallel_explore(program, config, workers=0))
+    serial = dumps_aut(maybe_parallel_explore(program, config))
     assert serial == dumps_aut(explore(program, config))
-    sharded = maybe_parallel_explore(program, config, workers=2,
-                                     shard_states=32)
+    sharded = maybe_parallel_explore(
+        program, config, parallel=_parallel(workers=2, shard_states=32)
+    )
     assert dumps_aut(sharded) == serial
 
 
@@ -283,16 +284,13 @@ def test_parallel_equals_serial_on_random_programs(instance):
 # ----------------------------------------------------------------------
 
 def test_heartbeat_interval_must_leave_room_for_the_grace_window():
-    program, config = _bench_config("treiber")
-    budget = RunBudget()
     # Interval at (or above) the liveness timeout: every worker would be
-    # declared hung between two of its own beats.
-    bad = _parallel(heartbeat_seconds=2.0, heartbeat_timeout=2.0)
+    # declared hung between two of its own beats.  The config refuses
+    # it on construction, before any supervisor or worker exists.
     with pytest.raises(ValueError, match="heartbeat_seconds"):
-        Supervisor(program, config, bad, budget, Stats())
+        _parallel(heartbeat_seconds=2.0, heartbeat_timeout=2.0)
     with pytest.raises(ValueError, match="heartbeat_seconds"):
-        Supervisor(program, config,
-                   _parallel(heartbeat_seconds=0.0), budget, Stats())
+        _parallel(heartbeat_seconds=0.0)
 
 
 def test_custom_heartbeat_interval_preserves_determinism():

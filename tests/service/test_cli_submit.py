@@ -3,8 +3,11 @@
 The retry knobs must never change *what* the daemon answers -- only how
 stubbornly the client dials.  The parity test pins that: the same job
 submitted with and without ``--retries/--retry-backoff`` exits with the
-same code, which is also the direct pipeline's code.
+same code, which is also the direct pipeline's code.  And ``submit``
+prints the very verdict block the direct ``lin`` command prints.
 """
+
+import re
 
 import pytest
 
@@ -74,3 +77,28 @@ def test_retry_flags_preserve_exit_code_parity(service):
     retried = main(argv + ["--retries", "5", "--retry-backoff", "0.05:0.5"])
     assert plain == expected
     assert retried == expected
+
+
+def _verdict_block(out):
+    """The verdict lines of a lin run: no header, job/progress or note
+    lines, and wall-clock times masked."""
+    skip = ("==", "accepted as ", "progress: ", "note: ")
+    return [
+        re.sub(r"\(\d+\.\d+s\)", "(_s)", line)
+        for line in out.splitlines() if not line.startswith(skip)
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["newcas", "--ops", "1"],                              # TRUE
+    ["hm_list_buggy", "--values", "1"],                    # FALSE
+    ["newcas", "--ops", "1", "--method", "both"],
+], ids=["true", "false", "both"])
+def test_submit_prints_the_direct_verdict_block(service, capsys, argv):
+    direct_code = main(["lin", *argv])
+    direct = capsys.readouterr().out
+    served_code = main(["submit", "lin", *argv, "--socket", service])
+    served = capsys.readouterr().out
+    assert served_code == direct_code
+    assert _verdict_block(served) == _verdict_block(direct)
+    assert len(_verdict_block(direct)) >= 2

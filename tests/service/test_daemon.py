@@ -18,8 +18,8 @@ from repro.service import (
     VerificationDaemon,
     request_cache_key,
 )
-from repro.service.messages import build_request
 from repro.util.budget import EXIT_INTERRUPTED, REASON_INTERRUPTED
+from repro.verify import Job
 
 
 def _config(tmp_path, name="svc", **overrides):
@@ -110,16 +110,14 @@ def test_lin_job_verdict_and_second_submission_served_from_cache(tmp_path):
 def test_explore_and_lockfree_kinds(tmp_path):
     from repro.lang import explore
     from repro.objects import get
-    from repro.service.messages import request_program_config
 
     daemon, endpoint = _start(_config(tmp_path))
     try:
         with ServiceClient.connect(endpoint) as client:
             explored = client.submit_and_wait(_request(kind="explore"))
             lockfree = client.submit_and_wait(_request(kind="lockfree"))
-        _bench, program, config = request_program_config(
-            build_request(kind="explore", key="newcas"))
-        direct = explore(program, config)
+        job = Job(kind="explore", key="newcas")
+        direct = explore(get(job.key).build(job.threads), job.client_config())
         assert explored["impl_states"] == direct.num_states
         assert explored["impl_transitions"] == direct.num_transitions
         assert explored["exit_code"] == 0
@@ -263,7 +261,7 @@ def test_disconnected_client_job_runs_on_and_parks_in_cache(tmp_path):
 
 def test_deadline_exhaustion_leaves_checkpoint_then_resume_finishes(tmp_path):
     daemon, endpoint = _start(_config(tmp_path))
-    key = request_cache_key(build_request(kind="lin", key="treiber"))
+    key = request_cache_key(Job(kind="lin", key="treiber"))
     try:
         with ServiceClient.connect(endpoint) as client:
             starved = client.submit_and_wait(
@@ -306,7 +304,7 @@ def test_graceful_shutdown_interrupts_job_and_restart_resumes(tmp_path):
     assert interrupted["verdict"] == "UNKNOWN"
     assert interrupted["exit_code"] == EXIT_INTERRUPTED
     assert interrupted["exhaustion"]["reason"] == REASON_INTERRUPTED
-    key = request_cache_key(build_request(kind="lin", key="treiber"))
+    key = request_cache_key(Job(kind="lin", key="treiber"))
     ckpt = os.path.join(daemon.jobs_dir, f"{key}.ckpt")
     assert os.path.exists(ckpt)
     # The Unix socket path was cleaned up on exit.

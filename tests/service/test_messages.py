@@ -9,17 +9,19 @@ that can change the verdict must be included.
 import pytest
 
 from repro.service.messages import (
-    build_request,
     cache_key,
+    parse_submission,
     request_cache_key,
     service_fingerprint,
 )
 
 
 def _request(**overrides):
+    """The job of a submission (its deadline is budget, not identity)."""
     base = dict(kind="lin", key="treiber")
     base.update(overrides)
-    return build_request(**base)
+    job, _deadline = parse_submission(base)
+    return job
 
 
 # ----------------------------------------------------------------------
@@ -28,12 +30,12 @@ def _request(**overrides):
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
-        build_request(kind="frobnicate", key="treiber")
+        _request(kind="frobnicate")
 
 
 def test_unknown_object_rejected():
     with pytest.raises(ValueError, match="benchmark object"):
-        build_request(kind="lin", key="no_such_object")
+        _request(key="no_such_object")
 
 
 @pytest.mark.parametrize("field", ["threads", "ops", "values"])
@@ -43,9 +45,9 @@ def test_nonpositive_bounds_rejected(field):
 
 
 def test_method_defaults_per_kind():
-    assert _request()["method"] == "quotient"
-    assert _request(kind="lockfree")["method"] == "union"
-    assert _request(kind="explore")["method"] is None
+    assert _request().method == "quotient"
+    assert _request(kind="lockfree").method == "union"
+    assert _request(kind="explore").method is None
 
 
 def test_bad_method_for_kind_rejected():
@@ -53,6 +55,10 @@ def test_bad_method_for_kind_rejected():
         _request(method="union")
     with pytest.raises(ValueError, match="lockfree method"):
         _request(kind="lockfree", method="quotient")
+    # A refinement engine the CLI's --engine choices would refuse is
+    # refused at submission too, not inside the daemon's job thread.
+    with pytest.raises(ValueError, match="engine"):
+        _request(engine="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +79,7 @@ def test_cache_key_ignores_resource_caps_and_perf_toggles():
     assert request_cache_key(_request(max_states=5000)) == base
     assert request_cache_key(_request(deadline=1.5)) == base
     assert request_cache_key(_request(reduce=False)) == base
-    assert request_cache_key(_request(engine="baseline")) == base
+    assert request_cache_key(_request(engine="sweep")) == base
 
 
 @pytest.mark.parametrize("override", [

@@ -14,8 +14,12 @@ import pytest
 
 from repro.objects import BENCHMARKS, get
 from repro.service import DaemonConfig, ServiceClient, VerificationDaemon
-from repro.util.budget import exit_code_for
-from repro.verify import check_linearizability, check_lock_freedom_auto
+from repro.util.budget import combined_verdict, exit_code_for
+from repro.verify import (
+    check_linearizability,
+    check_linearizability_reachability,
+    check_lock_freedom_auto,
+)
 
 #: (threads, ops) per object; default 2x2, heavy objects at 2x1.
 _SMALL_BOUNDS = {
@@ -27,13 +31,27 @@ _SMALL_BOUNDS = {
 }
 
 CASES = [
-    (key, *_SMALL_BOUNDS.get(key, (2, 2))) for key in sorted(BENCHMARKS)
+    (key, *_SMALL_BOUNDS.get(key, (2, 2)), "quotient")
+    for key in sorted(BENCHMARKS)
+] + [
+    # The other two lin methods on one TRUE and one FALSE object.
+    (key, 2, 2, method)
+    for method in ("reachability", "both")
+    for key in ("newcas", "hm_list_buggy")
 ]
 
 #: Objects whose lock-freedom the registry marks decidable at 2x2;
 #: a small slice keeps the lockfree leg cheap while covering both
 #: verdicts and the diagnostic rendering.
-_LOCKFREE_CASES = ["treiber", "newcas", "treiber_hp_buggy"]
+_LOCKFREE_CASES = [
+    ("treiber", "union"), ("newcas", "union"), ("treiber_hp_buggy", "union"),
+    ("treiber", "tau-cycle"), ("treiber_hp_buggy", "tau-cycle"),
+]
+
+
+def _case_id(key, threads, ops, method):
+    suffix = "" if method == "quotient" else f"_{method}"
+    return f"{key}_{threads}x{ops}{suffix}"
 
 
 @pytest.fixture(scope="module")
@@ -56,21 +74,42 @@ def _submit(endpoint, **request):
         return client.submit_and_wait(request, timeout=120.0)
 
 
+def _direct_lin(bench, threads, ops, method):
+    """The engine results a direct run computes, quotient first."""
+    bounds = dict(num_threads=threads, ops_per_thread=ops,
+                  workload=bench.default_workload())
+    results = []
+    if method in ("quotient", "both"):
+        results.append(check_linearizability(
+            bench.build(threads), bench.spec(), **bounds))
+    if method in ("reachability", "both"):
+        results.append(check_linearizability_reachability(
+            bench.build(threads), bench.spec(), **bounds))
+    return results
+
+
 @pytest.mark.parametrize(
-    "key,threads,ops", CASES, ids=[f"{k}_{t}x{o}" for k, t, o in CASES]
+    "key,threads,ops,method", CASES, ids=[_case_id(*case) for case in CASES]
 )
 def test_lin_verdict_through_service_matches_direct(service, key, threads,
-                                                    ops):
-    bench = get(key)
-    direct = check_linearizability(
-        bench.build(threads), bench.spec(),
-        num_threads=threads, ops_per_thread=ops,
-        workload=bench.default_workload(),
-    )
-    served = _submit(service, kind="lin", key=key, threads=threads, ops=ops)
+                                                    ops, method):
+    results = _direct_lin(get(key), threads, ops, method)
+    served = _submit(service, kind="lin", key=key, threads=threads, ops=ops,
+                     method=method)
 
-    assert served["verdict"] == direct.verdict
-    assert served["exit_code"] == exit_code_for(direct.verdict)
+    verdict = results[0].verdict
+    if method == "both":
+        verdict, disagree = combined_verdict(*(r.verdict for r in results))
+        assert not disagree
+        for name, result in zip(("quotient", "reachability"), results):
+            assert served[name]["verdict"] == result.verdict
+            assert served[name]["counterexample"] == (
+                result.render_counterexample()
+                if result.linearizable is False else None
+            )
+    assert served["verdict"] == verdict
+    assert served["exit_code"] == exit_code_for(verdict)
+    direct = results[0]
     if direct.linearizable is False:
         # The rendered counterexample must be byte-identical: the CLI
         # prints exactly this string on both paths.
@@ -79,14 +118,19 @@ def test_lin_verdict_through_service_matches_direct(service, key, threads,
         assert served["counterexample"] is None
 
 
-@pytest.mark.parametrize("key", _LOCKFREE_CASES)
-def test_lockfree_verdict_through_service_matches_direct(service, key):
+@pytest.mark.parametrize(
+    "key,method", _LOCKFREE_CASES,
+    ids=[key if method == "union" else f"{key}_{method}"
+         for key, method in _LOCKFREE_CASES],
+)
+def test_lockfree_verdict_through_service_matches_direct(service, key,
+                                                         method):
     bench = get(key)
     direct = check_lock_freedom_auto(
         bench.build(2), num_threads=2, ops_per_thread=2,
-        workload=bench.default_workload(),
+        workload=bench.default_workload(), method=method,
     )
-    served = _submit(service, kind="lockfree", key=key)
+    served = _submit(service, kind="lockfree", key=key, method=method)
 
     assert served["verdict"] == direct.verdict
     assert served["exit_code"] == exit_code_for(direct.verdict)

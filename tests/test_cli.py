@@ -481,3 +481,31 @@ def test_fuzz_drop_budget_checks_mutation_is_caught(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "budget:governance" in out
+
+
+@pytest.mark.parametrize("method", ["quotient", "both"])
+def test_lin_max_states_zero_means_no_cap(capsys, method):
+    # ClientConfig documents --max-states 0 as "no cap"; the spec
+    # generation must read it the same way as the exploration does.
+    code = main(["lin", "treiber", "--ops", "1", "--max-states", "0",
+                 "--method", method])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "linearizable: TRUE" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["lin", "treiber", "--workers", "2", "--heartbeat-timeout", "0.1"],
+    ["lockfree", "treiber", "--workers", "2", "--fault-plan", "bogus:zz"],
+    ["lin", "newcas", "--transport", "remote"],
+])
+def test_bad_parallel_config_is_a_usage_error(capsys, argv):
+    # A config error is exit 2 with a one-line message, never a
+    # traceback exiting 1 (which would read as a FALSE verdict).
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("repro: error: ")

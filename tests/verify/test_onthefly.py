@@ -25,9 +25,10 @@ from repro.testing.oracles import is_trace_of
 from repro.util.budget import BudgetExhausted
 from repro.util.metrics import Stats
 from repro.verify import (
+    Job,
     check_linearizability,
-    check_linearizability_both,
     check_linearizability_reachability,
+    run_job,
 )
 
 #: (threads, ops) per object; default 2x2, heavy objects at 2x1 (same
@@ -259,18 +260,20 @@ def test_random_early_exit_witnesses_are_valid(drawn):
 
 @pytest.mark.parametrize("key", ["newcas", "hm_list_buggy"])
 def test_both_shares_one_exploration(key):
-    bench = get(key)
-    workload = bench.default_workload()
-    sq, sr = Stats(), Stats()
-    quotient, reach = check_linearizability_both(
-        bench.build(2), bench.spec(),
-        num_threads=2, ops_per_thread=2, workload=workload,
-        stats_quotient=sq, stats_reachability=sr,
-    )
-    assert quotient.verdict == reach.verdict
-    assert quotient.impl_states == reach.impl_states
+    sinks = {}
+    result = run_job(Job("lin", key, method="both"),
+                     stats=lambda name: sinks.setdefault(name, Stats()))
+    sq, sr = sinks.values()
+    quotient, reach = result["quotient"], result["reachability"]
+    assert quotient["verdict"] == reach["verdict"] == result["verdict"]
+    assert quotient["impl_states"] == reach["impl_states"]
+    # one exploration, recorded once, in the first engine's pipeline
+    assert sq.counters["explore.states"] == quotient["impl_states"]
+    assert "explore.states" not in sr.counters
     # both engines must record that they consumed the shared system
     assert any("shared_impl_states" in k for k in sq.counters), sq.counters
     assert any("shared_impl_states" in k for k in sr.counters), sr.counters
     # both results carry the one shared exploration's wall-clock time
-    assert quotient.explore_seconds > 0 and reach.explore_seconds > 0
+    explore_seconds = sq.stage_seconds["explore"]
+    assert quotient["engine_seconds"] >= explore_seconds > 0
+    assert reach["engine_seconds"] >= explore_seconds

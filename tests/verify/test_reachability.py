@@ -12,6 +12,7 @@ from hypothesis import given
 
 from repro.lang import ClientConfig, atomic_spec, explore, queue_spec, spec_lts
 from repro.objects import get
+from repro.parallel import ParallelConfig
 from repro.testing import is_trace_of, program_strategy
 from repro.util.budget import BudgetExhausted, RunBudget
 from repro.util.metrics import Stats
@@ -175,7 +176,7 @@ def test_parallel_exploration_matches_serial():
         NEWCAS.build(2), NEWCAS.spec(),
         num_threads=2, ops_per_thread=1,
         workload=NEWCAS.default_workload(),
-        workers=2,
+        parallel=ParallelConfig(workers=2),
     )
     assert sharded.linearizable is serial.linearizable is True
     assert sharded.impl_states == serial.impl_states
