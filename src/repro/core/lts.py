@@ -143,6 +143,23 @@ class LTS:
             )
         self._append(src, aid, dst, annotation)
 
+    def extend_by_id(
+        self,
+        srcs: List[int],
+        aids: List[int],
+        dsts: List[int],
+        annotations: List[Any],
+    ) -> None:
+        """Append already-interned transitions in bulk, given as four
+        equally long columns (states must already exist)."""
+        if not len(srcs) == len(aids) == len(dsts) == len(annotations):
+            raise ValueError("transition columns differ in length")
+        self._src.extend(srcs)
+        self._act.extend(aids)
+        self._dst.extend(dsts)
+        self._ann.extend(annotations)
+        self._invalidate()
+
     def _append(self, src: int, aid: int, dst: int, annotation: Any) -> None:
         needed = max(src, dst) + 1
         if needed > self._num_states:
@@ -652,6 +669,18 @@ class LTSBuilder:
 
     def set_init(self, key: Hashable) -> None:
         self.lts.init = self.state(key)
+
+    @classmethod
+    def from_states(cls, lts: LTS, keys: List[Hashable]) -> "LTSBuilder":
+        """A builder over an existing ``lts`` whose state ``i`` is
+        ``keys[i]`` (for code that interns states by other means)."""
+        if len(keys) != lts.num_states:
+            raise ValueError("one key per state required")
+        builder = cls()
+        builder.lts = lts
+        builder.state_keys = list(keys)
+        builder._state_ids = {key: sid for sid, key in enumerate(keys)}
+        return builder
 
 
 def make_lts(

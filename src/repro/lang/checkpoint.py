@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..core.lts import LTSBuilder
+from .state import tag_key
 
 #: Bumped whenever the on-disk layout changes.
 CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
@@ -99,6 +100,11 @@ class Checkpoint:
     #: checkpoints unpickled from files that predate this field, which
     #: is why readers go through :meth:`salvaged_expansions`.
     expansions: Optional[Dict[Any, List[Any]]] = None
+    #: Whether the state keys store bools tagged (type-exact keys, see
+    #: :func:`repro.lang.values.tag`).  Files written before keys were
+    #: type-exact restore without the attribute; :func:`load_checkpoint`
+    #: tags their keys so they resume into the same states.
+    keys_tagged: bool = True
 
     def frontier_keys(self) -> List[Any]:
         keys = self.builder.state_keys
@@ -160,7 +166,27 @@ def load_checkpoint(path: str) -> Checkpoint:
     checkpoint = payload["checkpoint"]
     if not isinstance(checkpoint, Checkpoint):
         raise CheckpointError(f"{path!r} does not contain a Checkpoint")
+    # vars(), not getattr: the dataclass default lives on the class, so
+    # an old pickle (no instance attribute) would read it as True.
+    if not vars(checkpoint).get("keys_tagged", False) and \
+            checkpoint.fingerprint.get("kind") != "spec":
+        _tag_keys(checkpoint)
     return checkpoint
+
+
+def _tag_keys(checkpoint: Checkpoint) -> None:
+    """Bring an object-exploration checkpoint written with plain-bool
+    keys to the type-exact key form, in place.  (Specification keys are
+    not built by the DSL semantics and need no tagging.)"""
+    builder = checkpoint.builder
+    checkpoint.builder = LTSBuilder.from_states(
+        builder.lts, [tag_key(key) for key in builder.state_keys]
+    )
+    checkpoint.expansions = {
+        tag_key(key): [(label, tag_key(dst), ann) for label, dst, ann in edges]
+        for key, edges in checkpoint.salvaged_expansions().items()
+    } or None
+    checkpoint.keys_tagged = True
 
 
 def load_checkpoint_or_quarantine(path: str) -> Optional[Checkpoint]:

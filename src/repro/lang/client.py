@@ -35,10 +35,14 @@ from .checkpoint import Checkpoint, CheckpointSink, fingerprint
 from .program import Method, ObjectProgram
 from .semantics import execute
 from .state import ModelError, StateKey, canonicalize
+from .values import tag, untag
 
 #: Maximum chain of fused local steps (guards against local infinite
 #: loops, which then surface as explicit tau-cycles instead).
 FUSION_FUEL = 256
+
+#: Bound on :class:`ExpansionContext`'s unpacked-locals memo, per method.
+_ENV_MEMO_SIZE = 1 << 14
 
 #: Default state cap applied when ``ClientConfig.max_states`` is left at
 #: ``None``: a typo'd workload hits a structured :class:`StateExplosion`
@@ -157,7 +161,7 @@ class ExpansionContext:
     deterministically by the supervisor's merge.
     """
 
-    __slots__ = ("program", "config", "canon", "settle")
+    __slots__ = ("program", "config", "canon", "settle", "envs")
 
     def __init__(self, program: ObjectProgram, config: ClientConfig) -> None:
         if not config.workload:
@@ -183,6 +187,22 @@ class ExpansionContext:
         self.config = config
         self.canon = canon
         self.settle = settle
+        # Per-method memo of unpacked locals.  Packed locals are
+        # type-exact, hence safe dict keys, and few distinct ones recur
+        # across many states.
+        self.envs: List[Dict[Tuple[Any, ...], Dict[str, Any]]] = [
+            {} for _ in program.methods
+        ]
+
+    def _unpack(self, mi: int, packed: Tuple[Any, ...]) -> Dict[str, Any]:
+        """A fresh copy of method ``mi``'s unpacked ``packed`` locals."""
+        memo = self.envs[mi]
+        env = memo.get(packed)
+        if env is None:
+            if len(memo) >= _ENV_MEMO_SIZE:
+                memo.clear()
+            env = memo[packed] = self.program.methods[mi].unpack_env(packed)
+        return dict(env)
 
     def initial_key(self) -> StateKey:
         init_threads = tuple(
@@ -207,7 +227,9 @@ class ExpansionContext:
                 new_record = IDLE + (ops_budget,)
                 new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
                 dst = canon(g, heap, new_threads)
-                edges.append((("ret", tid + 1, method.name, packed[0]), dst, None))
+                edges.append(
+                    (("ret", tid + 1, method.name, untag(packed[0])), dst, None)
+                )
                 continue
             if mi < 0:
                 if ops_budget <= 0:
@@ -230,7 +252,8 @@ class ExpansionContext:
 
             method = program.methods[mi]
             op = method.ops[pc]
-            env = method.unpack_env(packed)
+            env = self._unpack(mi, packed)
+            base = (env, packed)
             annotation = f"t{tid + 1}.{op.line}" if op.line else None
             for outcome in execute(program, op, g, heap, env):
                 if outcome[0] == "ret":
@@ -245,7 +268,7 @@ class ExpansionContext:
                     # Return decided inside an atomic block: the visible
                     # return action follows as a separate step.
                     _kind, ng, nheap, value = outcome
-                    new_record = (mi, PENDING_RETURN, (value,), ops_budget)
+                    new_record = (mi, PENDING_RETURN, (tag(value),), ops_budget)
                     new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
                     dst = canon(ng, nheap, new_threads)
                     edges.append((TAU, dst, annotation))
@@ -254,7 +277,7 @@ class ExpansionContext:
                     npc = pc + 1 if target < 0 else target
                     nenv, npc = settle(program, method, ng, nheap, nenv, npc)
                     _check_pc(method, npc)
-                    new_record = (mi, npc, method.pack_env(nenv), ops_budget)
+                    new_record = (mi, npc, method.pack_env(nenv, base), ops_budget)
                     new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
                     dst = canon(ng, nheap, new_threads)
                     edges.append((TAU, dst, annotation))

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from .ops import Op
 from .state import Heap, ModelError
 from .stmts import Stmt, compile_body
-from .values import Ref
+from .values import Ref, tag, untag
 
 
 class HeapBuilder:
@@ -53,10 +53,15 @@ class Method:
     body: Sequence[Union[Op, Stmt]] = field(default_factory=list)
 
     _ops: Optional[List[Op]] = field(default=None, repr=False, compare=False)
+    _names: Optional[Tuple[str, ...]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
-    def local_names(self) -> List[str]:
-        return ["_tid"] + self.params + list(self.locals_)
+    def local_names(self) -> Tuple[str, ...]:
+        if self._names is None:
+            self._names = ("_tid", *self.params, *self.locals_)
+        return self._names
 
     @property
     def ops(self) -> List[Op]:
@@ -75,11 +80,28 @@ class Method:
         env.update(self.locals_)
         return env
 
-    def pack_env(self, env: Dict[str, Any]) -> Tuple[Any, ...]:
-        return tuple(env[name] for name in self.local_names)
+    def pack_env(
+        self,
+        env: Dict[str, Any],
+        base: Optional[Tuple[Dict[str, Any], Tuple[Any, ...]]] = None,
+    ) -> Tuple[Any, ...]:
+        """The locals as stored in a thread record (bools tagged).
+
+        ``base``, an ``(env, packed)`` pair from :meth:`unpack_env`,
+        lets entries ``env`` still shares with it (by identity) reuse
+        their packed form instead of being tagged again.
+        """
+        if base is None:
+            return tuple([tag(env[name]) for name in self.local_names])
+        old, packed = base
+        return tuple([
+            stored if env[name] is old[name] else tag(env[name])
+            for name, stored in zip(self.local_names, packed)
+        ])
 
     def unpack_env(self, packed: Tuple[Any, ...]) -> Dict[str, Any]:
-        return dict(zip(self.local_names, packed))
+        """A fresh local environment from a thread record's locals."""
+        return dict(zip(self.local_names, map(untag, packed)))
 
 
 class ObjectProgram:
@@ -103,10 +125,14 @@ class ObjectProgram:
         self.global_index = {g: i for i, g in enumerate(self.global_names)}
         self.node_fields = list(node_fields)
         self.field_index = {f: i + 1 for i, f in enumerate(self.node_fields)}
-        self.initial_heap = initial_heap
+        # Node fields as stored in state keys; the free flag (slot 0) is
+        # always a bool, so it stays untagged.
+        self.initial_heap = tuple(
+            node[:1] + tag(node[1:]) for node in initial_heap
+        )
 
     def initial_globals(self) -> Tuple[Any, ...]:
-        return tuple(self.globals_[name] for name in self.global_names)
+        return tuple(tag(self.globals_[name]) for name in self.global_names)
 
     def method(self, name: str) -> Method:
         try:

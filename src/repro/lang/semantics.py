@@ -8,6 +8,11 @@ outcome is either
 * ``("step", globals, heap, env, target)`` -- an internal step; the
   next pc is ``target`` or, when ``target == -1``, the fall-through, or
 * ``("ret", globals, heap, value)`` -- the method finished.
+
+Values enter ``globals`` and the heap through
+:func:`repro.lang.values.tag` and leave them through
+:func:`~repro.lang.values.untag`, so stored bools never compare equal to
+ints while local environments and return values stay plain.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from . import ops as O
 from .ops import evaluate
 from .program import ObjectProgram
 from .state import Heap, ModelError, free_node_indices
-from .values import Ref
+from .values import KEY_FALSE, KEY_TRUE, Ref, tag, untag
 
 Outcome = Tuple  # ("step", g, h, env, target) | ("ret", g, h, value)
 
@@ -109,12 +114,12 @@ def execute(
         if op.index is not None:
             value = _indexed(value, evaluate(op.index, env))
         new_env = dict(env)
-        new_env[op.dst] = value
+        new_env[op.dst] = untag(value)
         return [("step", g, heap, new_env, -1)]
 
     if kind is O.WriteGlobal:
         pos = _global_pos(program, op.name)
-        value = evaluate(op.value, env)
+        value = tag(evaluate(op.value, env))
         if op.index is not None:
             value = _set_indexed(g[pos], evaluate(op.index, env), value)
         return [("step", _set_global(g, pos, value), heap, env, -1)]
@@ -129,10 +134,10 @@ def execute(
             index = None
             slot = current
         expected = evaluate(op.expected, env)
-        success = slot == expected
+        success = untag(slot) == expected
         new_g = g
         if success:
-            new_value = evaluate(op.new, env)
+            new_value = tag(evaluate(op.new, env))
             if index is not None:
                 new_value = _set_indexed(current, index, new_value)
             new_g = _set_global(g, pos, new_value)
@@ -157,14 +162,14 @@ def execute(
     if kind is O.ReadField:
         node = _node(heap, evaluate(op.ptr, env))
         new_env = dict(env)
-        new_env[op.dst] = node[_field_pos(program, op.fieldname)]
+        new_env[op.dst] = untag(node[_field_pos(program, op.fieldname)])
         return [("step", g, heap, new_env, -1)]
 
     if kind is O.WriteField:
         ptr = evaluate(op.ptr, env)
         _node(heap, ptr)
         pos = _field_pos(program, op.fieldname)
-        value = evaluate(op.value, env)
+        value = tag(evaluate(op.value, env))
         return [("step", g, _with_field(heap, ptr, pos, value), env, -1)]
 
     if kind is O.CasField:
@@ -172,10 +177,10 @@ def execute(
         node = _node(heap, ptr)
         pos = _field_pos(program, op.fieldname)
         expected = evaluate(op.expected, env)
-        success = node[pos] == expected
+        success = untag(node[pos]) == expected
         new_heap = heap
         if success:
-            new_heap = _with_field(heap, ptr, pos, evaluate(op.new, env))
+            new_heap = _with_field(heap, ptr, pos, tag(evaluate(op.new, env)))
         if op.dst is None:
             return [("step", g, new_heap, env, -1)]
         new_env = dict(env)
@@ -186,8 +191,8 @@ def execute(
         ptr = evaluate(op.ptr, env)
         node = _node(heap, ptr)
         pos = _field_pos(program, op.fieldname)
-        old = node[pos]
-        new_heap = _with_field(heap, ptr, pos, evaluate(op.value, env))
+        old = untag(node[pos])
+        new_heap = _with_field(heap, ptr, pos, tag(evaluate(op.value, env)))
         if op.dst is None:
             return [("step", g, new_heap, env, -1)]
         new_env = dict(env)
@@ -199,7 +204,7 @@ def execute(
         unknown = set(values) - set(program.node_fields)
         if unknown:
             raise ModelError(f"unknown node fields {sorted(unknown)}")
-        node = tuple([False] + [values.get(f) for f in program.node_fields])
+        node = tuple([False] + [tag(values.get(f)) for f in program.node_fields])
         outcomes: List[Outcome] = []
         # Fresh allocation.
         fresh_env = dict(env)
@@ -224,31 +229,31 @@ def execute(
 
     if kind is O.Lock:
         pos = _global_pos(program, op.name)
-        if g[pos] is not False:
+        if untag(g[pos]) is not False:
             return []
-        return [("step", _set_global(g, pos, True), heap, env, -1)]
+        return [("step", _set_global(g, pos, KEY_TRUE), heap, env, -1)]
 
     if kind is O.Unlock:
         pos = _global_pos(program, op.name)
-        if g[pos] is not True:
+        if untag(g[pos]) is not True:
             raise ModelError(f"unlock of free lock {op.name!r}")
-        return [("step", _set_global(g, pos, False), heap, env, -1)]
+        return [("step", _set_global(g, pos, KEY_FALSE), heap, env, -1)]
 
     if kind is O.LockField:
         ptr = evaluate(op.ptr, env)
         node = _node(heap, ptr)
         pos = _field_pos(program, op.fieldname)
-        if node[pos] is not False:
+        if untag(node[pos]) is not False:
             return []
-        return [("step", g, _with_field(heap, ptr, pos, True), env, -1)]
+        return [("step", g, _with_field(heap, ptr, pos, KEY_TRUE), env, -1)]
 
     if kind is O.UnlockField:
         ptr = evaluate(op.ptr, env)
         node = _node(heap, ptr)
         pos = _field_pos(program, op.fieldname)
-        if node[pos] is not True:
+        if untag(node[pos]) is not True:
             raise ModelError(f"unlock of free node lock {op.fieldname!r}")
-        return [("step", g, _with_field(heap, ptr, pos, False), env, -1)]
+        return [("step", g, _with_field(heap, ptr, pos, KEY_FALSE), env, -1)]
 
     if kind is O.AtomicBlock:
         return _run_atomic(program, op, g, heap, env)

@@ -18,14 +18,17 @@ candidates for reallocation, keeping ABA scenarios observable.
 
 Values inside globals, locals and node fields may be nested tuples
 (e.g. a pointer-with-mark-bit word, or an array of slots); references
-are located and rewritten at any nesting depth.
+are located and rewritten at any nesting depth.  Bools among them are
+stored tagged (:func:`repro.lang.values.tag`), which makes keys
+type-exact: two keys are ``==`` only when their contents are identical,
+never because ``False == 0``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from .values import Ref
+from .values import Ref, tag
 
 Node = Tuple[Any, ...]          # (free_flag, field values...)
 Heap = Tuple[Node, ...]
@@ -110,6 +113,23 @@ def canonicalize(
         for (mi, pc, locals_, budget) in threads
     )
     return (new_globals, new_heap, new_threads)
+
+
+def tag_key(key: StateKey) -> StateKey:
+    """``key`` with every stored value in type-exact form (idempotent).
+
+    The DSL semantics store values through :func:`repro.lang.values.tag`
+    already; this re-derives that form for keys built before it did
+    (old checkpoints).  Node free flags (slot 0) are always bools and
+    stay plain.
+    """
+    globals_, heap, threads = key
+    return (
+        tag(globals_),
+        tuple(node[:1] + tag(node[1:]) for node in heap),
+        tuple((mi, pc, tag(locals_), budget)
+              for mi, pc, locals_, budget in threads),
+    )
 
 
 def free_node_indices(heap: Heap) -> List[int]:

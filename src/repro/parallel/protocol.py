@@ -35,6 +35,14 @@ from typing import Any, BinaryIO, List, Optional
 #: Protocol identifier; bumped whenever the frame layout changes.
 MAGIC = b"RPX1"
 
+#: Message-payload version, exchanged in the remote ``init`` handshake
+#: (forked workers always match).  Bumped whenever a message tuple
+#: changes shape; a remote worker speaking another version refuses the
+#: session instead of misreading frames.  Version 1 (no field in
+#: ``init``) sent ``(key, edges)`` pairs in ``result``; version 2 sends
+#: the :func:`repro.parallel.worker.pack_edges` body.
+WIRE_PROTOCOL = 2
+
 _HEADER = struct.Struct("!4sII")
 
 #: Default refusal threshold for a frame's claimed payload size (a
@@ -198,7 +206,8 @@ class FrameDecoder:
 # message constructors (tuples keyed by a kind tag)
 # ----------------------------------------------------------------------
 # supervisor -> worker
-MSG_INIT = "init"          # (MSG_INIT, worker_index, program, config,
+MSG_INIT = "init"          # (MSG_INIT, worker_index, WIRE_PYTHON,
+#                             WIRE_PROTOCOL, program blob,
 #                             heartbeat_seconds, fault_plan) -- remote
 #                             sessions only; forked workers inherit the
 #                             context through process memory instead.
@@ -216,6 +225,8 @@ MSG_HEARTBEAT = "heartbeat"  # (MSG_HEARTBEAT, worker_index) -- idle beat
 #                             from a remote session so silence always
 #                             means trouble, never mere idleness.
 MSG_RESULT = "result"      # (MSG_RESULT, worker_index, shard_id,
-#                             [(key, edges), ...], busy_us)
+#                             (kinds, dsts, counts, edges), busy_us)
+#                             -- edges in shard key order; the keys
+#                             themselves are not echoed back.
 MSG_EXHAUSTED = "exhausted"  # (MSG_EXHAUSTED, worker_index, shard_id, dict)
 MSG_ERROR = "error"        # (MSG_ERROR, worker_index, shard_id, traceback)

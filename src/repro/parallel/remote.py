@@ -73,6 +73,7 @@ from .protocol import (
     MSG_INIT,
     MSG_SHARD,
     MSG_STOP,
+    WIRE_PROTOCOL,
     FrameDecoder,
     ProtocolError,
     encode_frame,
@@ -212,7 +213,7 @@ def _handshake(
     """
     sock.settimeout(timeout)
     sock.sendall(encode_frame((
-        MSG_INIT, index, WIRE_PYTHON,
+        MSG_INIT, index, WIRE_PYTHON, WIRE_PROTOCOL,
         dumps_program(program, config), heartbeat_seconds, fault_plan,
     )))
     decoder = FrameDecoder(max_frame_bytes=MAX_FRAME_BYTES)
@@ -223,6 +224,8 @@ def _handshake(
             raise ConnectionError(f"{address}: closed during handshake")
         frames.extend(decoder.feed(data))
     hello = frames.pop(0)
+    if isinstance(hello, tuple) and len(hello) == 4 and hello[0] == MSG_ERROR:
+        raise ConnectionError(f"{address}: worker refused: {hello[3]}")
     if not (isinstance(hello, tuple) and hello and hello[0] == MSG_HELLO):
         raise ConnectionError(f"{address}: expected hello, got {hello!r}")
     sock.setblocking(False)
@@ -230,6 +233,24 @@ def _handshake(
         index, sock, decoder, address,
         send_timeout=send_timeout, initial_frames=frames,
     )
+
+
+def _handshake_refusal(wire_python: Tuple[int, ...], protocol: Any) -> Optional[str]:
+    """Why a worker must refuse this supervisor's ``init``, if it must."""
+    if wire_python != WIRE_PYTHON:
+        return (
+            f"python mismatch: supervisor runs "
+            f"{wire_python[0]}.{wire_python[1]}, worker runs "
+            f"{WIRE_PYTHON[0]}.{WIRE_PYTHON[1]} (programs ship "
+            f"as marshal'd bytecode, so major.minor must agree)"
+        )
+    if protocol != WIRE_PROTOCOL:
+        return (
+            f"wire protocol mismatch: supervisor speaks {protocol}, worker "
+            f"speaks {WIRE_PROTOCOL} (run the same repro version on both "
+            f"sides)"
+        )
+    return None
 
 
 class _RemoteSlot:
@@ -588,15 +609,15 @@ class WorkerRuntime:
             if not (isinstance(message, tuple) and message
                     and message[0] == MSG_INIT):
                 return False
-            _, index, wire_python, blob, heartbeat_seconds, plan = message
-            if tuple(wire_python) != WIRE_PYTHON:
+            if len(message) == 6:  # protocol-1 supervisors sent no version
+                message = message[:3] + (1,) + message[3:]
+            _, index, wire_python, protocol, blob, heartbeat_seconds, plan = (
+                message
+            )
+            refusal = _handshake_refusal(tuple(wire_python), protocol)
+            if refusal is not None:
                 try:
-                    channel.send((MSG_ERROR, index, None, (
-                        f"python mismatch: supervisor runs "
-                        f"{wire_python[0]}.{wire_python[1]}, worker runs "
-                        f"{WIRE_PYTHON[0]}.{WIRE_PYTHON[1]} (programs ship "
-                        f"as marshal'd bytecode, so major.minor must agree)"
-                    )))
+                    channel.send((MSG_ERROR, index, None, refusal))
                 except ServiceError:
                     pass
                 return False

@@ -11,16 +11,22 @@ different costs:
   Cheap, but *order-defining*: the ``.aut`` output is a function of the
   interning order.  This half never leaves the supervisor.
 
-The supervisor explores in **waves**: the current frontier is
-partitioned by state-fingerprint ownership (``hash(key) % workers``),
-chunked into shards, and farmed out; returned ``(key, edges)`` pairs
-are accumulated in an expansion table.  When the table covers the
-reachable closure, the supervisor *replays* a serial DFS from the
-initial state against the table -- pop, apply the recorded edges in
-order, push unseen destinations -- which reproduces the serial
-exploration's interning order exactly.  The resulting frozen system
-(and therefore its ``.aut`` dump) is byte-identical to a serial run, no
-matter how shards were scheduled, retried or reassigned.
+The supervisor explores in **waves**: the current frontier is chunked
+into shards and farmed out; workers return each shard's edge lists in
+shard key order.  The supervisor *interns* every state key exactly
+once, when it first arrives, under a dense provisional id (*pid*), and
+stores each expansion as compact integer records -- an edge-kind id
+(label + annotation, from a small table) and a destination pid.  The
+pids discovered in one wave are the next wave's frontier.  When the
+table covers the reachable closure, the supervisor *replays* a serial
+DFS from the initial pid over the integer successor lists -- pop, push
+unseen destinations in recorded order -- which yields the serial
+exploration's interning order; the frozen system is then built
+straight from integers (no key hashing, no per-edge label interning).
+Its ``.aut`` dump is byte-identical to a serial run, no matter how
+shards were scheduled, retried or reassigned.  State keys are
+type-exact (:func:`repro.lang.values.tag`), so ``==`` on keys is
+content identity and any representative of a key renders the same.
 
 Failure model (see ``docs/ROBUSTNESS.md``):
 
@@ -44,7 +50,9 @@ a resumable checkpoint: the serial-prefix replay stops at the first
 state with no recorded expansion (exactly a serial safe point, so a
 *serial* ``--resume`` works unchanged) and the not-yet-replayed
 expansions ride along in ``Checkpoint.expansions`` so a *parallel*
-resume loses no finished work either.
+resume loses no finished work either.  Keys and edge tuples exist only
+at that boundary: salvage converts pids back to keys, resume interns
+the checkpoint's keys into fresh pids.
 
 Workers are *provisioned* through a pluggable transport: the default
 :class:`LocalForkTransport` forks children over pipes (the original PR
@@ -76,7 +84,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.lts import LTSBuilder
+from ..core.lts import LTS, LTSBuilder
 from ..lang.checkpoint import Checkpoint, CheckpointSink, fingerprint
 from ..lang.client import ExpansionContext, StateExplosion
 from ..util.budget import (
@@ -101,35 +109,11 @@ from .protocol import (
     ProtocolError,
     encode_frame,
 )
-from .worker import worker_main
+from .worker import kind_key, pack_edges, worker_main
 
 #: Upper bound on one ``select`` wait, so SIGINT tokens, backoff expiry
 #: and hang deadlines are observed promptly.
 _POLL_SECONDS = 0.25
-
-
-def _same_content(a: Any, b: Any) -> bool:
-    """``==`` plus exact types, recursively through the key tuples.
-
-    State keys are nested tuples of scalars, and Python's numeric tower
-    makes ``False == 0 == 0.0`` -- so two states whose values differ
-    only in bool/int/float flavor collide in any ``==``-keyed table.
-    Serial exploration conflates them too (they behave identically),
-    but it renders labels from the representative *it* discovered
-    first; the wave loop discovers in BFS layer order and may pick the
-    other one.  The replay uses this check to spot such aliased table
-    entries and re-expand with the serial-order representative, keeping
-    the output byte-identical.
-    """
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if type(a) is tuple or isinstance(a, tuple):
-        return len(a) == len(b) and all(
-            _same_content(x, y) for x, y in zip(a, b)
-        )
-    return a == b
 
 
 @dataclass
@@ -374,21 +358,23 @@ class Supervisor:
         self.init_key = self.context.initial_key()
         self.run_id: Optional[Dict[str, Any]] = None
 
-        # expansion table and discovery bookkeeping
-        self.expansions: Dict[Any, List[Any]] = {}
-        # key (==-equal class) -> the exact key object whose expansion
-        # is stored; lets the replay detect bool/int-aliased entries
-        # (see _same_content) without changing the table layout.
-        self.expansion_reps: Dict[Any, Any] = {}
-        self.known: set = set()
+        # Interning: each state key is hashed once, on first arrival.
+        self.pids: Dict[Any, int] = {}          # key -> pid
+        self.keys: List[Any] = []               # pid -> key
+        # pid -> flat [kind, dst_pid, kind, dst_pid, ...] in expansion
+        # order, or None while the state is unexpanded.
+        self.succ: List[Optional[List[int]]] = []
+        self.kinds: List[Tuple[Any, Any]] = []  # kind -> (label, annotation)
+        self.kind_ids: Dict[Any, int] = {}      # kind_key(...) -> kind
         self.trans_count = 0
+        self.init_pid = self._intern(self.init_key)
 
         # scheduling state
         self.target = max(parallel.workers, len(parallel.remote), 1)
         self.workers: Dict[int, Any] = {}       # index -> endpoint
         self.selector = selectors.DefaultSelector()
-        self.pending: deque = deque()           # (shard_id, keys)
-        self.backoff: List[Tuple[float, int, List[Any]]] = []  # heap
+        self.pending: deque = deque()           # (shard_id, pids)
+        self.backoff: List[Tuple[float, int, List[int]]] = []  # heap
         self.retries: Dict[int, int] = {}
         self.next_shard_id = 0
         # Remote address slots own the stable indices 0..R-1; forked and
@@ -421,6 +407,62 @@ class Supervisor:
     def _count(self, name: str, amount: int = 1) -> None:
         if self.stats is not None and amount:
             self.stats.count(name, amount)
+
+    def _clock(self) -> float:
+        """Start of a timed sub-stage; no clock read without a sink."""
+        return time.perf_counter() if self.stats is not None else 0.0
+
+    def _count_us(self, name: str, started: float) -> None:
+        if self.stats is not None:
+            self.stats.count(
+                name, int((time.perf_counter() - started) * 1_000_000)
+            )
+
+    # ------------------------------------------------------------------
+    # the interned expansion table
+    # ------------------------------------------------------------------
+    def _intern(self, key: Any) -> int:
+        pid = self.pids.get(key)
+        if pid is None:
+            pid = self.pids[key] = len(self.keys)
+            self.keys.append(key)
+            self.succ.append(None)
+        return pid
+
+    def _kind_id(self, label: Any, annotation: Any) -> int:
+        key = kind_key(label, annotation)
+        kid = self.kind_ids.get(key)
+        if kid is None:
+            kid = self.kind_ids[key] = len(self.kinds)
+            self.kinds.append((label, annotation))
+        return kid
+
+    def _record(self, pids: List[int], body: Tuple[Any, ...]) -> None:
+        """Store a :func:`pack_edges` body for ``pids`` (same order),
+        interning each destination key on first sight."""
+        kinds, dsts, counts, edges = body
+        kind_ids = [self._kind_id(label, ann) for label, ann in kinds]
+        dst_ids = [self._intern(key) for key in dsts]
+        succ = self.succ
+        at = 0
+        for pid, count in zip(pids, counts):
+            end = at + 2 * count
+            if succ[pid] is None:
+                flat: List[int] = []
+                for j in range(at, end, 2):
+                    flat.append(kind_ids[edges[j]])
+                    flat.append(dst_ids[edges[j + 1]])
+                succ[pid] = flat
+                self.trans_count += count
+            at = end
+
+    def _edges(self, pid: int) -> List[Any]:
+        """Expanded ``pid``'s edges as ``(label, dst_key, annotation)``."""
+        flat = self.succ[pid]
+        return [
+            (self.kinds[k][0], self.keys[d], self.kinds[k][1])
+            for k, d in zip(flat[0::2], flat[1::2])
+        ]
 
     # ------------------------------------------------------------------
     # worker lifecycle
@@ -534,21 +576,16 @@ class Supervisor:
     # ------------------------------------------------------------------
     # shard scheduling
     # ------------------------------------------------------------------
-    def _make_shards(self, frontier: List[Any]) -> None:
-        """Partition a wave by key ownership and queue the shards."""
-        buckets: List[List[Any]] = [[] for _ in range(max(1, self.target))]
-        for key in frontier:
-            buckets[hash(key) % len(buckets)].append(key)
+    def _make_shards(self, frontier: List[int]) -> None:
+        """Chunk a wave's frontier pids into shards and queue them."""
         size = max(1, self.parallel.shard_states)
-        for bucket in buckets:
-            for lo in range(0, len(bucket), size):
-                shard = (self.next_shard_id, bucket[lo:lo + size])
-                self.next_shard_id += 1
-                self.pending.append(shard)
-                self._count("shards")
+        for lo in range(0, len(frontier), size):
+            self.pending.append((self.next_shard_id, frontier[lo:lo + size]))
+            self.next_shard_id += 1
+            self._count("shards")
 
-    def _requeue(self, shard: Tuple[int, List[Any]]) -> None:
-        shard_id, _keys = shard
+    def _requeue(self, shard: Tuple[int, List[int]]) -> None:
+        shard_id, _pids = shard
         attempts = self.retries.get(shard_id, 0) + 1
         self.retries[shard_id] = attempts
         self._count("requeues")
@@ -563,8 +600,8 @@ class Supervisor:
     def _promote_backoff(self) -> None:
         now = time.monotonic()
         while self.backoff and self.backoff[0][0] <= now:
-            _ready, shard_id, keys = heapq.heappop(self.backoff)
-            self.pending.append((shard_id, keys))
+            _ready, shard_id, pids = heapq.heappop(self.backoff)
+            self.pending.append((shard_id, pids))
 
     def _dispatch(self) -> None:
         """Hand pending shards to idle workers, provisioning up to target."""
@@ -582,10 +619,15 @@ class Supervisor:
             allowance = child_allowance(
                 self.budget, self.parallel.shard_deadline
             )
+            started = self._clock()
+            keys = self.keys
+            frame = encode_frame((
+                MSG_SHARD, shard[0], [keys[pid] for pid in shard[1]],
+                allowance,
+            ))
+            self._count_us("encode_us", started)
             try:
-                worker.send_frame(
-                    encode_frame((MSG_SHARD, shard[0], shard[1], allowance))
-                )
+                worker.send_frame(frame)
             except (BrokenPipeError, OSError):
                 self.pending.appendleft(shard)
                 self._fail_worker(worker, "crash")
@@ -598,7 +640,7 @@ class Supervisor:
     # event handling
     # ------------------------------------------------------------------
     def _record_result(
-        self, worker: Any, shard_id: int, pairs: List[Tuple[Any, List[Any]]]
+        self, worker: Any, shard_id: int, body: Tuple[Any, ...]
     ) -> None:
         if worker.shard is None or worker.shard[0] != shard_id:
             # Stale frame from a reassigned shard (e.g. a worker that
@@ -607,11 +649,7 @@ class Supervisor:
             # current assignee's result is recorded.
             self._count("stale_results")
             return
-        for key, edges in pairs:
-            if key not in self.expansions:
-                self.expansions[key] = edges
-                self.expansion_reps[key] = key
-                self.trans_count += len(edges)
+        self._record(worker.shard[1], body)
         worker.shard = None
 
     def _handle_frame(self, worker: Any, frame: Tuple[Any, ...]) -> None:
@@ -628,8 +666,8 @@ class Supervisor:
                 self._count("shard_acks")
             return
         if kind == MSG_RESULT:
-            _k, _idx, shard_id, pairs, busy_us = frame
-            self._record_result(worker, shard_id, pairs)
+            _k, _idx, shard_id, body, busy_us = frame
+            self._record_result(worker, shard_id, body)
             self._count(f"worker{worker.index}_busy_us", busy_us)
             self._count("worker_busy_us", busy_us)
             return
@@ -664,11 +702,13 @@ class Supervisor:
                 if not data:
                     self._fail_worker(worker, "crash")
                     break
+                started = self._clock()
                 try:
                     frames = worker.decoder.feed(data)
                 except ProtocolError:
                     self._fail_worker(worker, "corrupt")
                     break
+                self._count_us("decode_us", started)
                 for frame in frames:
                     self._handle_frame(worker, frame)
 
@@ -697,7 +737,7 @@ class Supervisor:
         if budget is not None:
             budget.check(
                 "explore",
-                states=len(self.known),
+                states=len(self.keys),
                 transitions=self.trans_count,
                 frontier=backlog,
             )
@@ -709,15 +749,15 @@ class Supervisor:
                 budget.exhaust(
                     REASON_DEADLINE, "explore",
                     f"deadline={budget.deadline_seconds:.2f}s",
-                    states=len(self.known),
+                    states=len(self.keys),
                     transitions=self.trans_count,
                     frontier=backlog,
                 )
         max_states = self.config.effective_max_states()
-        if max_states is not None and len(self.known) > max_states:
+        if max_states is not None and len(self.keys) > max_states:
             raise StateExplosion(
                 f"{self.program.name}: more than {max_states} states",
-                states=len(self.known),
+                states=len(self.keys),
                 transitions=self.trans_count,
                 frontier=backlog,
             )
@@ -727,118 +767,133 @@ class Supervisor:
     # ------------------------------------------------------------------
     def _replay(
         self, stop_on_missing: bool
-    ) -> Tuple[LTSBuilder, List[Any], set]:
-        """Serial-DFS replay of the expansion table.
+    ) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """Serial-DFS replay over the integer successor lists.
 
-        Returns ``(builder, stack, consumed)``; with ``stop_on_missing``
-        the replay halts at the first popped key without a recorded
-        expansion (that key is pushed back, so ``stack`` is exactly a
-        serial frontier at a safe point).  Without it, a missing key is
-        a bug -- the wave loop guarantees closure.
+        Returns ``(order, serial, popped, stack)``: the pids in serial
+        interning order, the serial id of every pid (``-1`` when the
+        replay never reached it), the pids expanded in serial pop order,
+        and the pids left on the DFS stack.  With ``stop_on_missing``
+        the replay halts at the first popped pid without a recorded
+        expansion (that pid is pushed back, so ``stack`` is exactly a
+        serial frontier at a safe point).  Without it, a missing
+        expansion is a bug -- the wave loop guarantees closure.
         """
-        builder = LTSBuilder()
-        builder.set_init(self.init_key)
-        stack: List[Any] = [self.init_key]
-        consumed: set = set()
-        expansions = self.expansions
-        reps = self.expansion_reps
+        succ = self.succ
+        init = self.init_pid
+        serial = [-1] * len(succ)
+        serial[init] = 0
+        order = [init]
+        popped: List[int] = []
+        stack = [init]
         while stack:
-            key = stack.pop()
-            edges = expansions.get(key)
-            if edges is None:
+            pid = stack.pop()
+            flat = succ[pid]
+            if flat is None:
                 if stop_on_missing:
-                    stack.append(key)
+                    stack.append(pid)
                     break
                 raise AssertionError(
                     "expansion table does not cover the reachable closure"
                 )
-            rep = reps.get(key)
-            if rep is not None and rep is not key \
-                    and not _same_content(rep, key):
-                # The table entry was recorded for a bool/int-aliased
-                # twin of this key (same behavior, different rendering).
-                # Re-expand with *this* key -- the replay discovers in
-                # serial order, so this is the serial representative and
-                # its rendering is the byte-identical one.
-                edges = self.context.expand(key)
-                expansions[key] = edges
-                reps[key] = key
-                self._count("alias_reexpansions")
-            consumed.add(key)
-            for label, dst, annotation in edges:
-                _dst_id, is_new = builder.transition(key, label, dst, annotation)
-                if is_new:
+            popped.append(pid)
+            for dst in flat[1::2]:
+                if serial[dst] < 0:
+                    serial[dst] = len(order)
+                    order.append(dst)
                     stack.append(dst)
-        return builder, stack, consumed
+        return order, serial, popped, stack
+
+    def _build(
+        self, order: List[int], serial: List[int], popped: List[int]
+    ) -> LTS:
+        """The serial run's LTS, straight from the integer table:
+        ``order`` states, the edges of ``popped`` in pop order, actions
+        interned on first use in that order (as serial interns them)."""
+        lts = LTS()
+        lts.add_states(len(order))
+        lts.init = 0
+        succ, kinds = self.succ, self.kinds
+        action = [-1] * len(kinds)
+        srcs: List[int] = []
+        aids: List[int] = []
+        dsts: List[int] = []
+        anns: List[Any] = []
+        for pid in popped:
+            src = serial[pid]
+            flat = succ[pid]
+            for at in range(0, len(flat), 2):
+                kind = flat[at]
+                aid = action[kind]
+                if aid < 0:
+                    aid = action[kind] = lts.action_id(kinds[kind][0])
+                srcs.append(src)
+                aids.append(aid)
+                dsts.append(serial[flat[at + 1]])
+                anns.append(kinds[kind][1])
+        lts.extend_by_id(srcs, aids, dsts, anns)
+        return lts
 
     def _salvage_checkpoint(self) -> Checkpoint:
-        builder, stack, consumed = self._replay(stop_on_missing=True)
+        started = self._clock()
+        order, serial, popped, stack = self._replay(stop_on_missing=True)
+        lts = self._build(order, serial, popped)
+        self._count_us("replay_us", started)
+        keys = self.keys
+        replayed = set(popped)
         leftover = {
-            key: edges for key, edges in self.expansions.items()
-            if key not in consumed
+            keys[pid]: self._edges(pid)
+            for pid, flat in enumerate(self.succ)
+            if flat is not None and pid not in replayed
         }
         return Checkpoint(
             fingerprint=self.run_id,
-            builder=builder,
-            frontier=[builder.state(key) for key in stack],
+            builder=LTSBuilder.from_states(lts, [keys[p] for p in order]),
+            frontier=[serial[pid] for pid in stack],
             expansions=leftover or None,
         )
 
     # ------------------------------------------------------------------
     # resume
     # ------------------------------------------------------------------
-    def _load_resume(self, resume: Checkpoint) -> List[Any]:
+    def _load_resume(self, resume: Checkpoint) -> List[int]:
         """Rebuild the expansion table from a checkpoint (serial or
         parallel) and return the initial frontier."""
         resume.validate(self.run_id)
         builder = resume.builder
         keys = builder.state_keys
         labels = builder.lts.action_labels
+        pids = [self._intern(key) for key in keys]
         frontier_ids = set(resume.frontier)
-        # A serial checkpoint's builder records edges only for expanded
-        # states, each expanded exactly once with its edges in insertion
-        # order -- so grouping by source reconstructs expand() output.
+        # A checkpoint's builder holds edges only for expanded states --
+        # every state off the frontier -- each expanded exactly once with
+        # its edges in insertion order, so grouping by source
+        # reconstructs expand() output.
+        edges: Dict[int, List[Any]] = {
+            sid: [] for sid in range(len(keys)) if sid not in frontier_ids
+        }
         for src, aid, dst, ann in builder.lts.transitions_with_annotations():
-            if src in frontier_ids:
-                continue
-            self.expansions.setdefault(keys[src], []).append(
-                (labels[aid], keys[dst], ann)
-            )
-        for key, edges in resume.salvaged_expansions().items():
-            if key not in self.expansions:
-                self.expansions[key] = edges
-        self.trans_count = sum(len(e) for e in self.expansions.values())
-        for key in self.expansions:
-            self.expansion_reps[key] = key
-        # Frontier = every discovered-but-unexpanded key: the checkpoint
+            if src in edges:
+                edges[src].append((labels[aid], keys[dst], ann))
+        for sid, sid_edges in edges.items():
+            self._record([pids[sid]], pack_edges([sid_edges]))
+        for key, key_edges in resume.salvaged_expansions().items():
+            self._record([self._intern(key)], pack_edges([key_edges]))
+        # Frontier = every discovered-but-unexpanded pid: the checkpoint
         # frontier plus destinations only reachable through salvaged
         # (never replayed) expansions.
-        frontier: List[Any] = []
-        seen = set(self.expansions)
-        for key in resume.frontier_keys():
-            if key not in seen:
-                seen.add(key)
-                frontier.append(key)
-        for edges in list(self.expansions.values()):
-            for _label, dst, _ann in edges:
-                if dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-        self.known = set(self.expansions) | set(frontier) | {self.init_key}
-        return frontier
+        return [pid for pid, flat in enumerate(self.succ) if flat is None]
 
     # ------------------------------------------------------------------
     # in-process fallback
     # ------------------------------------------------------------------
-    def _expand_serial(self, keys: List[Any]) -> None:
-        for done, key in enumerate(keys):
-            if key in self.expansions:
+    def _expand_serial(self, pids: List[int]) -> None:
+        for done, pid in enumerate(pids):
+            if self.succ[pid] is not None:
                 continue
-            self._check_budget(backlog=len(keys) - done)
-            edges = self.context.expand(key)
-            self.expansions[key] = edges
-            self.expansion_reps[key] = key
-            self.trans_count += len(edges)
+            self._check_budget(backlog=len(pids) - done)
+            edges = self.context.expand(self.keys[pid])
+            self._record([pid], pack_edges([edges]))
 
     def _drain_serial(self) -> None:
         """Finish all queued shards in-process (fully degraded mode)."""
@@ -854,11 +909,11 @@ class Supervisor:
                 worker.shard = None
         self._shutdown()
         while self.backoff:
-            _ready, shard_id, keys = heapq.heappop(self.backoff)
-            self.pending.append((shard_id, keys))
+            _ready, shard_id, pids = heapq.heappop(self.backoff)
+            self.pending.append((shard_id, pids))
         while self.pending:
-            _shard_id, keys = self.pending.popleft()
-            self._expand_serial(keys)
+            _shard_id, pids = self.pending.popleft()
+            self._expand_serial(pids)
 
     # ------------------------------------------------------------------
     # main loop
@@ -880,8 +935,7 @@ class Supervisor:
         if resume is not None:
             frontier = self._load_resume(resume)
         else:
-            frontier = [self.init_key]
-            self.known = {self.init_key}
+            frontier = [self.init_pid]
         self.transport.start(self)
         try:
             try:
@@ -892,8 +946,11 @@ class Supervisor:
                 raise
         finally:
             self._shutdown()
-        builder, _stack, _consumed = self._replay(stop_on_missing=False)
-        return builder.lts.freeze()
+        started = self._clock()
+        order, serial, popped, _stack = self._replay(stop_on_missing=False)
+        lts = self._build(order, serial, popped)
+        self._count_us("replay_us", started)
+        return lts.freeze()
 
     def _force_partition(self) -> None:
         """Sever every remote connection at once (injected ``partition``).
@@ -927,10 +984,12 @@ class Supervisor:
                 pass  # salvage here is best-effort; exhaustion re-saves
 
     def _run_waves(
-        self, frontier: List[Any], checkpoint: Optional[CheckpointSink]
+        self, frontier: List[int], checkpoint: Optional[CheckpointSink]
     ) -> None:
         wave = list(frontier)
         while True:
+            # Pids interned from here on are this wave's discoveries.
+            discovered = len(self.keys)
             self.wave += 1
             plan = self.parallel.fault_plan
             if plan is not None:
@@ -985,29 +1044,15 @@ class Supervisor:
                     if due is not None:
                         wait = min(wait, max(0.01, due))
                     time.sleep(wait)
-            # wave complete: next frontier from this wave's expansions,
-            # in deterministic (wave order x edge order) sequence
-            next_wave: List[Any] = []
-            for key in wave:
-                for _label, dst, _ann in self.expansions.get(key, ()):
-                    if dst not in self.known:
-                        self.known.add(dst)
-                        next_wave.append(dst)
-            if not next_wave:
-                missing = [k for k in wave if k not in self.expansions]
-                if missing:
-                    # Shards can complete without covering every key only
-                    # through a logic error; expand directly rather than
-                    # looping forever.
-                    self._expand_serial(missing)
-                    for key in missing:
-                        for _label, dst, _ann in self.expansions[key]:
-                            if dst not in self.known:
-                                self.known.add(dst)
-                                next_wave.append(dst)
-                if not next_wave:
-                    return
-            wave = next_wave
+            missing = [pid for pid in wave if self.succ[pid] is None]
+            if missing:
+                # Shards can complete without covering every pid only
+                # through a logic error; expand directly rather than
+                # looping forever.
+                self._expand_serial(missing)
+            wave = list(range(discovered, len(self.keys)))
+            if not wave:
+                return
 
 
 #: Why the on-the-fly (streaming) pipelines run serial exploration even

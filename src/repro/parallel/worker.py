@@ -4,9 +4,10 @@ A worker is forked by the supervisor with two pipe ends (commands in,
 frames out) and runs :func:`worker_main`: block on the command pipe,
 expand every state key in the received shard with the same
 :class:`repro.lang.client.ExpansionContext` the serial loop uses, and
-send the ordered edge lists back.  Workers never intern states -- they
-compute raw ``(key, edges)`` pairs, and the supervisor replays them in
-serial DFS order at merge time, which is what makes the merged system
+send the ordered edge lists back in shard key order (:func:`pack_edges`
+says how).  Workers never intern states -- the supervisor interns every
+destination key once and replays the recorded integer successor lists
+in serial DFS order, which is what makes the merged system
 bit-identical to a serial run.
 
 The shard-expansion core itself (:func:`run_shard`) is
@@ -36,7 +37,7 @@ import os
 import signal
 import time
 import traceback
-from typing import Any, Callable, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..lang.client import ExpansionContext
 from ..util.budget import BudgetExhausted, ChildAllowance
@@ -62,6 +63,54 @@ from .protocol import (
 #: supervisor's ``heartbeat_timeout`` looks like a stall; see
 #: ``ParallelConfig.heartbeat_timeout`` for the supervisor-side slack.
 HEARTBEAT_SECONDS = 0.25
+
+
+def kind_key(label: Any, annotation: Any) -> Tuple[Any, Any, str]:
+    """Identity of an edge *kind* (label plus annotation).
+
+    ``==`` alone would merge ``("ret", 1, "m", False)`` with ``("ret",
+    1, "m", 0)``; the serial LTS does merge them into one action, but it
+    renders the label met first *in serial order*.  Keeping kinds apart
+    whenever their labels render differently lets the supervisor intern
+    actions in that order and reproduce the serial rendering.
+    """
+    return (label, annotation, repr(label))
+
+
+def pack_edges(
+    edge_lists: Sequence[List[Any]],
+) -> Tuple[List[Tuple[Any, Any]], List[Any], List[int], List[int]]:
+    """The ``MSG_RESULT`` body for per-key edge lists (shard key order).
+
+    Returns ``(kinds, dsts, counts, edges)``: the distinct ``(label,
+    annotation)`` kinds and the distinct destination keys, each in
+    first-use order; the edge count of each key; and one flat list
+    holding, per edge, its kind's and its destination's index into
+    those tables.  A label, annotation or key crosses the wire once per
+    frame however many edges share it (sibling states in a shard share
+    about a third of their successors).
+    """
+    kinds: List[Tuple[Any, Any]] = []
+    kind_index: Dict[Any, int] = {}
+    dsts: List[Any] = []
+    dst_index: Dict[Any, int] = {}
+    counts: List[int] = []
+    flat: List[int] = []
+    for edges in edge_lists:
+        counts.append(len(edges))
+        for label, dst, annotation in edges:
+            key = kind_key(label, annotation)
+            kid = kind_index.get(key)
+            if kid is None:
+                kid = kind_index[key] = len(kinds)
+                kinds.append((label, annotation))
+            did = dst_index.get(dst)
+            if did is None:
+                did = dst_index[dst] = len(dsts)
+                dsts.append(dst)
+            flat.append(kid)
+            flat.append(did)
+    return kinds, dsts, counts, flat
 
 
 def _apply_fault(fault, out) -> bool:
@@ -168,12 +217,12 @@ def run_shard(
     budget = allowance.to_budget() if allowance is not None else None
     started = time.monotonic()
     last_beat = started
-    expansions: List[Tuple[Any, List[Any]]] = []
+    expansions: List[List[Any]] = []
     try:
         for done, key in enumerate(keys):
             if budget is not None:
                 budget.check("explore-shard", states=done)
-            expansions.append((key, context.expand(key)))
+            expansions.append(context.expand(key))
             if plan is not None:
                 fault = plan.next_for(worker_index, states_counter + done + 1)
                 if fault is not None:
@@ -193,7 +242,7 @@ def run_shard(
         return corrupt_next
     busy_us = int((time.monotonic() - started) * 1_000_000)
     send(
-        (MSG_RESULT, worker_index, shard_id, expansions, busy_us),
+        (MSG_RESULT, worker_index, shard_id, pack_edges(expansions), busy_us),
         corrupt=corrupt_next,
     )
     return False

@@ -27,7 +27,7 @@ from repro.lang import (
     WriteGlobal,
 )
 from repro.lang.semantics import execute
-from repro.lang.values import Ref
+from repro.lang.values import KEY_FALSE, KEY_TRUE, Ref
 
 
 def make_program(**globals_):
@@ -161,10 +161,10 @@ def test_free_and_double_free():
 
 def test_lock_blocks_and_acquires():
     _, g, _h, _env, _ = only(execute(PROG, Lock("L"), G, HEAP, ENV))
-    assert g[2] is True
+    assert g[2] is KEY_TRUE  # state slots store bools tagged
     assert execute(PROG, Lock("L"), g, HEAP, ENV) == []  # held: blocked
     _, g2, _h, _env, _ = only(execute(PROG, Unlock("L"), g, HEAP, ENV))
-    assert g2[2] is False
+    assert g2[2] is KEY_FALSE
     with pytest.raises(ModelError):
         execute(PROG, Unlock("L"), G, HEAP, ENV)  # unlock of free lock
 
@@ -177,10 +177,10 @@ def test_lock_field():
     heap = ((False, False),)
     env = {"p": Ref(0)}
     _, _g, h, _env, _ = only(execute(prog, LockField("p", "lock"), (), heap, env))
-    assert h[0][1] is True
+    assert h[0][1] is KEY_TRUE
     assert execute(prog, LockField("p", "lock"), (), h, env) == []
     _, _g, h2, _env, _ = only(execute(prog, UnlockField("p", "lock"), (), h, env))
-    assert h2[0][1] is False
+    assert h2[0][1] is KEY_FALSE
 
 
 def test_assume():
@@ -219,7 +219,7 @@ def test_atomic_block_with_control_flow_and_return():
 def test_atomic_block_guarded_by_lock():
     block = AtomicBlock([Lock("L"), WriteGlobal("X", 1)])
     outcome = only(execute(PROG, block, G, HEAP, ENV))
-    assert outcome[1][0] == 1 and outcome[1][2] is True
+    assert outcome[1][0] == 1 and outcome[1][2] is KEY_TRUE
     held = (0, (1, 2, 3), True)
     assert execute(PROG, block, held, HEAP, ENV) == []  # whole block blocked
 

@@ -9,6 +9,7 @@ Process-level faults are covered by ``scripts/remote_smoke.py``, which
 spawns real worker processes.
 """
 
+import socket
 import threading
 import time
 
@@ -19,6 +20,14 @@ from repro.lang import ClientConfig, explore
 from repro.lang.checkpoint import CheckpointSink, load_checkpoint
 from repro.objects import get
 from repro.parallel import FaultPlan, ParallelConfig, parallel_explore
+from repro.parallel.codec import WIRE_PYTHON, dumps_program
+from repro.parallel.protocol import (
+    MSG_ERROR,
+    MSG_INIT,
+    WIRE_PROTOCOL,
+    FrameDecoder,
+    encode_frame,
+)
 from repro.parallel.remote import WorkerRuntime
 from repro.util.metrics import Stats
 
@@ -205,6 +214,46 @@ def test_agent_dials_supervisor_unix_socket(tmp_path):
         assert stats.counters["explore.remote_agents_adopted"] == 1
     finally:
         agent.stop()
+
+
+# ----------------------------------------------------------------------
+# handshake: the wire protocol version must match
+# ----------------------------------------------------------------------
+
+def _refusal(address, init):
+    """Send one ``init`` to a worker and return its one reply frame."""
+    host, _, port = address.rpartition(":")
+    decoder = FrameDecoder()
+    with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+        sock.sendall(encode_frame(init))
+        frames = []
+        while not frames:
+            data = sock.recv(1 << 16)
+            assert data, "worker closed without replying"
+            frames.extend(decoder.feed(data))
+    return frames[0]
+
+
+@pytest.mark.parametrize("protocol", [WIRE_PROTOCOL + 1, None])
+def test_worker_refuses_another_wire_protocol(worker, protocol):
+    # A supervisor speaking another payload version (or protocol 1,
+    # whose init carried no version) is refused with one clear line
+    # instead of a session that misreads result frames.
+    program, config = _bench_config()
+    init = (MSG_INIT, 0, WIRE_PYTHON, protocol,
+            dumps_program(program, config), 0.25, None)
+    if protocol is None:
+        init = init[:3] + init[4:]
+    reply = _refusal(worker.address, init)
+    assert reply[0] == MSG_ERROR
+    assert reply[3].startswith("wire protocol mismatch: supervisor speaks "
+                               f"{protocol or 1}, worker speaks "
+                               f"{WIRE_PROTOCOL}")
+    assert "\n" not in reply[3]
+    # The refusal does not take the worker down.
+    serial = dumps_aut(explore(program, config))
+    lts = parallel_explore(program, config, _remote_parallel(worker.address))
+    assert dumps_aut(lts) == serial
 
 
 # ----------------------------------------------------------------------

@@ -164,12 +164,12 @@ def test_drain_serial_requeues_in_flight_shards():
     program, config = _bench_config("treiber")
     supervisor = Supervisor(program, config, _parallel())
     worker = _fake_busy_worker(supervisor)
-    worker.shard = (0, [supervisor.init_key])
+    worker.shard = (0, [supervisor.init_pid])
     supervisor.target = 0
     supervisor._drain_serial()
     assert not supervisor.workers
     assert not supervisor.pending
-    assert supervisor.init_key in supervisor.expansions
+    assert supervisor.succ[supervisor.init_pid] is not None  # expanded
 
 
 def test_shard_deadline_stretches_hang_detection():
@@ -180,7 +180,7 @@ def test_shard_deadline_stretches_hang_detection():
     parallel = _parallel(heartbeat_timeout=1.0, shard_deadline=5.0)
     supervisor = Supervisor(program, config, parallel)
     worker = _fake_busy_worker(supervisor)
-    worker.shard = (0, [supervisor.init_key])
+    worker.shard = (0, [supervisor.init_pid])
 
     worker.last_frame = time.monotonic() - 3.0  # silent, but within slack
     supervisor._check_hangs()

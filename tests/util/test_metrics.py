@@ -8,6 +8,8 @@ from repro.core.partition import refine_to_fixpoint
 from repro.lang import ClientConfig
 from repro.lang.client import _explore, explore
 from repro.objects import get
+from repro.parallel import ParallelConfig, parallel_explore
+from repro.parallel import supervisor as supervisor_module
 from repro.util.metrics import Stats, peak_rss_kb, stage
 
 
@@ -162,3 +164,45 @@ def _timed(fn):
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+def test_disabled_stats_make_no_instrumentation_calls(monkeypatch):
+    """Load-insensitive companion of the wall-clock guard above.
+
+    Counts calls instead of timing them: with ``stats=None`` neither
+    serial ``explore`` nor the sharded supervisor may touch a ``Stats``
+    method or read the supervisor's sub-stage clock.  With a sink, the
+    supervisor records its replay/decode/encode timers.
+    """
+    calls = []
+    for name in ("stage", "count"):
+        real = getattr(Stats, name)
+        monkeypatch.setattr(
+            Stats, name,
+            lambda self, *a, _real=real, _name=name, **k: (
+                calls.append(_name) or _real(self, *a, **k)
+            ),
+        )
+
+    class CountingClock:
+        def __getattr__(self, name):
+            return getattr(time, name)
+
+        def perf_counter(self):
+            calls.append("perf_counter")
+            return time.perf_counter()
+
+    monkeypatch.setattr(supervisor_module, "time", CountingClock())
+    bench = get("treiber")
+    config = ClientConfig(2, 1, bench.default_workload())
+    parallel = ParallelConfig(workers=1, shard_states=64)
+
+    explore(bench.build(2), config, stats=None)
+    parallel_explore(bench.build(2), config, parallel, stats=None)
+    assert calls == []
+
+    stats = Stats()
+    parallel_explore(bench.build(2), config, parallel, stats=stats)
+    assert "perf_counter" in calls
+    for name in ("replay_us", "decode_us", "encode_us"):
+        assert f"explore.{name}" in stats.counters
