@@ -34,15 +34,16 @@ if TYPE_CHECKING:  # pragma: no cover
 from .checkpoint import Checkpoint, CheckpointSink, fingerprint
 from .program import Method, ObjectProgram
 from .semantics import execute
-from .state import ModelError, StateKey, canonicalize
+from .state import ModelError, StateKey, canonicalize, ref_indices
 from .values import tag, untag
 
 #: Maximum chain of fused local steps (guards against local infinite
 #: loops, which then surface as explicit tau-cycles instead).
 FUSION_FUEL = 256
 
-#: Bound on :class:`ExpansionContext`'s unpacked-locals memo, per method.
-_ENV_MEMO_SIZE = 1 << 14
+#: Bound on the entries of :class:`ExpansionContext`'s step memo; a
+#: full memo is cleared before the next expansion.
+STEP_MEMO_SIZE = 1 << 16
 
 #: Default state cap applied when ``ClientConfig.max_states`` is left at
 #: ``None``: a typo'd workload hits a structured :class:`StateExplosion`
@@ -159,9 +160,22 @@ class ExpansionContext:
     produces -- without touching any interning table, so the same
     expansion can run in a worker process and be replayed
     deterministically by the supervisor's merge.
+
+    A thread's steps depend only on the globals, the heap and that
+    thread's own record, and most such triples recur across states, so
+    the context memoizes them (``memo``; ``misses`` counts the triples
+    actually executed).  A cached step keeps ``None`` for globals or
+    heap it left unchanged, and a hit then reuses the *source* key's
+    objects, so successors share structure with their source exactly as
+    freshly executed ones do.  Each step also carries the reference
+    indices :func:`~repro.lang.state.canonicalize` needs, so a hit never
+    rescans the state.
     """
 
-    __slots__ = ("program", "config", "canon", "settle", "envs")
+    __slots__ = (
+        "program", "config", "canon", "settle", "memo", "entries", "misses",
+        "interned",
+    )
 
     def __init__(self, program: ObjectProgram, config: ClientConfig) -> None:
         if not config.workload:
@@ -174,7 +188,7 @@ class ExpansionContext:
         if config.canonicalize_heap:
             canon = canonicalize
         else:
-            def canon(g, heap, threads):
+            def canon(g, heap, threads, refs=None):
                 return (g, heap, threads)
 
         if config.fuse_local_steps:
@@ -187,22 +201,14 @@ class ExpansionContext:
         self.config = config
         self.canon = canon
         self.settle = settle
-        # Per-method memo of unpacked locals.  Packed locals are
-        # type-exact, hence safe dict keys, and few distinct ones recur
-        # across many states.
-        self.envs: List[Dict[Tuple[Any, ...], Dict[str, Any]]] = [
-            {} for _ in program.methods
-        ]
-
-    def _unpack(self, mi: int, packed: Tuple[Any, ...]) -> Dict[str, Any]:
-        """A fresh copy of method ``mi``'s unpacked ``packed`` locals."""
-        memo = self.envs[mi]
-        env = memo.get(packed)
-        if env is None:
-            if len(memo) >= _ENV_MEMO_SIZE:
-                memo.clear()
-            env = memo[packed] = self.program.methods[mi].unpack_env(packed)
-        return dict(env)
+        # (g, heap) -> (refs of g, refs per heap node, one dict per
+        # thread slot: record -> (refs of its locals, steps)).  Keys are
+        # type-exact, so a hit is the very same (g, heap, record) triple.
+        self.memo: Dict[Tuple[Any, Any], Tuple[Any, Any, List[Dict[Any, Any]]]] = {}
+        self.entries = 0
+        self.misses = 0
+        # Interned reference-index tuples (see ``_refs``).
+        self.interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     def initial_key(self) -> StateKey:
         init_threads = tuple(
@@ -215,73 +221,131 @@ class ExpansionContext:
 
     def expand(self, key: StateKey) -> List[Edge]:
         """Ordered successor edges of ``key`` (see class docstring)."""
-        program, config = self.program, self.config
-        canon, settle = self.canon, self.settle
-        edges: List[Edge] = []
         g, heap, threads = key
+        if self.entries >= STEP_MEMO_SIZE:
+            self.memo.clear()
+            self.entries = 0
+        cached = self.memo.get((g, heap))
+        if cached is None:
+            cached = self.memo[(g, heap)] = (
+                self._refs(g), self._adjacency(heap), [{} for _ in threads],
+            )
+        grefs, adjacency, slots = cached
+        per_thread = []
         for tid, record in enumerate(threads):
-            mi, pc, packed = record[0], record[1], record[2]
-            ops_budget = record[3]
-            if pc == PENDING_RETURN:
-                method = program.methods[mi]
-                new_record = IDLE + (ops_budget,)
-                new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                dst = canon(g, heap, new_threads)
-                edges.append(
-                    (("ret", tid + 1, method.name, untag(packed[0])), dst, None)
+            entry = slots[tid].get(record)
+            if entry is None:
+                entry = slots[tid][record] = self._entry(
+                    tid, g, heap, record, grefs, adjacency,
                 )
-                continue
-            if mi < 0:
-                if ops_budget <= 0:
-                    continue
-                for mname, args in config.workload:
-                    method = program.method(mname)
-                    env = method.initial_env(tid, args)
-                    env, entry = settle(program, method, g, heap, env, 0)
-                    _check_pc(method, entry)
-                    new_record = (
-                        program.method_index[mname],
-                        entry,
-                        method.pack_env(env),
-                        ops_budget - 1,
-                    )
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst = canon(g, heap, new_threads)
-                    edges.append((("call", tid + 1, mname, args), dst, None))
-                continue
+                self.entries += 1
+                self.misses += 1
+            per_thread.append(entry)
 
-            method = program.methods[mi]
-            op = method.ops[pc]
-            env = self._unpack(mi, packed)
-            base = (env, packed)
-            annotation = f"t{tid + 1}.{op.line}" if op.line else None
-            for outcome in execute(program, op, g, heap, env):
-                if outcome[0] == "ret":
-                    _kind, ng, nheap, value = outcome
-                    new_record = IDLE + (ops_budget,)
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst = canon(ng, nheap, new_threads)
-                    edges.append(
-                        (("ret", tid + 1, method.name, value), dst, None)
-                    )
-                elif outcome[0] == "retpend":
-                    # Return decided inside an atomic block: the visible
-                    # return action follows as a separate step.
-                    _kind, ng, nheap, value = outcome
-                    new_record = (mi, PENDING_RETURN, (tag(value),), ops_budget)
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst = canon(ng, nheap, new_threads)
-                    edges.append((TAU, dst, annotation))
-                else:
-                    _kind, ng, nheap, nenv, target = outcome
-                    npc = pc + 1 if target < 0 else target
-                    nenv, npc = settle(program, method, ng, nheap, nenv, npc)
-                    _check_pc(method, npc)
-                    new_record = (mi, npc, method.pack_env(nenv, base), ops_budget)
-                    new_threads = threads[:tid] + (new_record,) + threads[tid + 1:]
-                    dst = canon(ng, nheap, new_threads)
-                    edges.append((TAU, dst, annotation))
+        canon = self.canon
+        locals_refs = tuple([entry[0] for entry in per_thread])
+        edges: List[Edge] = []
+        for tid, (_refs, steps) in enumerate(per_thread):
+            before, after = threads[:tid], threads[tid + 1:]
+            refs_before, refs_after = locals_refs[:tid], locals_refs[tid + 1:]
+            for label, annotation, ng, nheap, record, ngrefs, nadjacency, lrefs in steps:
+                dst = canon(
+                    g if ng is None else ng,
+                    heap if nheap is None else nheap,
+                    before + (record,) + after,
+                    (ngrefs, nadjacency, refs_before + (lrefs,) + refs_after),
+                )
+                edges.append((label, dst, annotation))
         return edges
+
+    def _entry(self, tid: int, g, heap, record, grefs, adjacency):
+        """The memo entry of thread ``tid`` at ``(g, heap, record)``."""
+        refs = self._refs
+        return refs(record[2]), tuple([
+            (
+                label, annotation,
+                None if ng is g else ng,
+                None if nheap is heap else nheap,
+                new_record,
+                grefs if ng is g else refs(ng),
+                adjacency if nheap is heap
+                else self._adjacency(nheap, heap, adjacency),
+                refs(new_record[2]),
+            )
+            for label, annotation, ng, nheap, new_record
+            in self._execute(tid, g, heap, record)
+        ])
+
+    def _refs(self, value: Any) -> Tuple[int, ...]:
+        """``ref_indices(value)``, one shared tuple per distinct result
+        (the memo holds few distinct ones, many times over)."""
+        found = ref_indices(value)
+        return self.interned.setdefault(found, found)
+
+    def _adjacency(self, heap, base=(), base_adjacency=()) -> Tuple[Tuple[int, ...], ...]:
+        """Per-node :meth:`_refs` of ``heap``; nodes still in place since
+        ``base`` reuse ``base_adjacency``."""
+        size = len(base)
+        return tuple([
+            base_adjacency[index] if index < size and node is base[index]
+            else self._refs(node)
+            for index, node in enumerate(heap)
+        ])
+
+    def _execute(self, tid: int, g, heap, record) -> List[Tuple[Any, ...]]:
+        """Thread ``tid``'s ordered steps from ``(g, heap, record)``, as
+        ``(label, annotation, new globals, new heap, new record)``."""
+        program, config, settle = self.program, self.config, self.settle
+        steps: List[Tuple[Any, ...]] = []
+        mi, pc, packed, ops_budget = record
+        if pc == PENDING_RETURN:
+            method = program.methods[mi]
+            label = ("ret", tid + 1, method.name, untag(packed[0]))
+            steps.append((label, None, g, heap, IDLE + (ops_budget,)))
+            return steps
+        if mi < 0:
+            if ops_budget <= 0:
+                return steps
+            for mname, args in config.workload:
+                method = program.method(mname)
+                env = method.initial_env(tid, args)
+                env, entry = settle(program, method, g, heap, env, 0)
+                _check_pc(method, entry)
+                new_record = (
+                    program.method_index[mname],
+                    entry,
+                    method.pack_env(env),
+                    ops_budget - 1,
+                )
+                steps.append((("call", tid + 1, mname, args), None, g, heap, new_record))
+            return steps
+
+        method = program.methods[mi]
+        op = method.ops[pc]
+        env = method.unpack_env(packed)
+        base = (env, packed)
+        annotation = f"t{tid + 1}.{op.line}" if op.line else None
+        for outcome in execute(program, op, g, heap, env):
+            if outcome[0] == "ret":
+                _kind, ng, nheap, value = outcome
+                steps.append((
+                    ("ret", tid + 1, method.name, value), None, ng, nheap,
+                    IDLE + (ops_budget,),
+                ))
+            elif outcome[0] == "retpend":
+                # Return decided inside an atomic block: the visible
+                # return action follows as a separate step.
+                _kind, ng, nheap, value = outcome
+                new_record = (mi, PENDING_RETURN, (tag(value),), ops_budget)
+                steps.append((TAU, annotation, ng, nheap, new_record))
+            else:
+                _kind, ng, nheap, nenv, target = outcome
+                npc = pc + 1 if target < 0 else target
+                nenv, npc = settle(program, method, ng, nheap, nenv, npc)
+                _check_pc(method, npc)
+                new_record = (mi, npc, method.pack_env(nenv, base), ops_budget)
+                steps.append((TAU, annotation, ng, nheap, new_record))
+        return steps
 
 
 #: One streamed transition event: ``(src_id, action_label, dst_id)``.
@@ -518,7 +582,8 @@ def explore(
     checkpoints) are unchanged.
 
     ``stats``, when given, times the exploration under an ``explore``
-    stage and records final state/transition counts.
+    stage and records final state/transition counts and ``step_misses``
+    (thread steps executed rather than served by the step memo).
 
     ``budget``, when given, is checked once per frontier pop (phase
     ``"explore"``); exhaustion raises the structured
@@ -532,10 +597,26 @@ def explore(
     if stats is None:
         return _explore(program, config, budget, checkpoint, resume)
     with stats.stage("explore"):
-        lts = _explore(program, config, budget, checkpoint, resume)
+        explorer = _drained(program, config, budget, checkpoint, resume)
+        lts = explorer.freeze()
         stats.count("states", lts.num_states)
         stats.count("transitions", lts.num_transitions)
+        stats.count("step_misses", explorer.context.misses)
     return lts
+
+
+def _drained(
+    program: ObjectProgram,
+    config: ClientConfig,
+    budget: Optional["RunBudget"] = None,
+    checkpoint: Optional[CheckpointSink] = None,
+    resume: Optional[Checkpoint] = None,
+) -> StreamingExplorer:
+    explorer = StreamingExplorer(
+        program, config, budget=budget, checkpoint=checkpoint, resume=resume,
+    )
+    explorer.drain()
+    return explorer
 
 
 def _explore(
@@ -545,11 +626,7 @@ def _explore(
     checkpoint: Optional[CheckpointSink] = None,
     resume: Optional[Checkpoint] = None,
 ) -> LTS:
-    explorer = StreamingExplorer(
-        program, config, budget=budget, checkpoint=checkpoint, resume=resume,
-    )
-    explorer.drain()
-    return explorer.freeze()
+    return _drained(program, config, budget, checkpoint, resume).freeze()
 
 
 def uniform_workload(

@@ -26,7 +26,7 @@ never because ``False == 0``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .values import Ref, tag
 
@@ -34,15 +34,51 @@ Node = Tuple[Any, ...]          # (free_flag, field values...)
 Heap = Tuple[Node, ...]
 ThreadRecord = Tuple[int, int, Tuple[Any, ...], int]
 StateKey = Tuple[Tuple[Any, ...], Heap, Tuple[ThreadRecord, ...]]
+#: Reference indices of a state (see :func:`ref_indices`): those of the
+#: globals, one tuple per heap node, and one tuple per thread's locals.
+StateRefs = Tuple[
+    Tuple[int, ...], Sequence[Tuple[int, ...]], Sequence[Tuple[int, ...]]
+]
 
 
-def _scan(value: Any, visit) -> None:
-    """Call ``visit`` on every reference nested inside ``value``."""
+def _scan(value: Any, found: List[int]) -> None:
+    """Append the index of every reference nested inside ``value``."""
     if type(value) is Ref:
-        visit(value)
+        found.append(value[1])
     elif type(value) is tuple:
         for item in value:
-            _scan(item, visit)
+            _scan(item, found)
+
+
+def ref_indices(value: Any) -> Tuple[int, ...]:
+    """Heap indices of the references nested in ``value``, in scan order.
+
+    Applied to a whole heap node this gives the node's out-edges: slot 0
+    (the free flag) is a bool, never a reference.
+    """
+    if type(value) is not tuple:
+        return (value[1],) if type(value) is Ref else ()
+    found: List[int] = []
+    for item in value:  # flat values are the common case: no recursion
+        kind = type(item)
+        if kind is Ref:
+            found.append(item[1])
+        elif kind is tuple:
+            _scan(item, found)
+    return tuple(found)
+
+
+def state_refs(
+    globals_: Tuple[Any, ...],
+    heap: Heap,
+    threads: Tuple[ThreadRecord, ...],
+) -> StateRefs:
+    """The reference indices :func:`canonicalize` walks, from scratch."""
+    return (
+        ref_indices(globals_),
+        tuple(map(ref_indices, heap)),
+        tuple(ref_indices(record[2]) for record in threads),
+    )
 
 
 def _rewrite(value: Any, remap: Dict[int, int]) -> Any:
@@ -67,41 +103,33 @@ def canonicalize(
     globals_: Tuple[Any, ...],
     heap: Heap,
     threads: Tuple[ThreadRecord, ...],
+    refs: Optional[StateRefs] = None,
 ) -> StateKey:
-    """Canonical renaming + garbage collection of the heap (see module doc)."""
+    """Canonical renaming + garbage collection of the heap (see module doc).
+
+    ``refs``, when given, must equal ``state_refs(globals_, heap,
+    threads)``; callers that already hold those indices (the explorer's
+    step memo) pass them so that the search below runs over ints only.
+    """
+    if refs is None:
+        refs = state_refs(globals_, heap, threads)
+    global_refs, adjacency, locals_refs = refs
+    # BFS from the roots (globals, then thread locals); ``queue`` holds
+    # index tuples and grows by each newly reached node's out-edges.
     remap: Dict[int, int] = {}
     order: List[int] = []
+    queue = [global_refs, *locals_refs]
+    for indices in queue:
+        for index in indices:
+            if index not in remap:
+                remap[index] = len(order)
+                order.append(index)
+                queue.append(adjacency[index])
 
-    def visit(ref: Ref) -> None:
-        index = ref[1]
-        if index not in remap:
-            remap[index] = len(order)
-            order.append(index)
-
-    for value in globals_:
-        _scan(value, visit)
-    for record in threads:
-        _scan(record[2], visit)
-    cursor = 0
-    while cursor < len(order):
-        node = heap[order[cursor]]
-        cursor += 1
-        for value in node[1:]:
-            _scan(value, visit)
-
-    count = len(order)
-    if count == len(heap):
+    if len(order) == len(heap) and order == list(range(len(order))):
         # Fast path: the reachability order already matches the heap
         # layout, so the state is canonical as-is.
-        identity = True
-        for index in range(count):
-            if order[index] != index:
-                identity = False
-                break
-        if identity:
-            return (globals_, heap, threads)
-    elif not count and not heap:
-        return (globals_, (), threads)
+        return (globals_, heap, threads)
 
     new_heap = tuple(
         heap[old][:1] + tuple(_rewrite(v, remap) for v in heap[old][1:])

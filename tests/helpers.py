@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: brute-force oracles and generators.
+"""Shared helpers for the test suite: brute-force oracles, generators
+and a type-exact comparison view.
 
 Since the differential-testing subsystem landed, the reference
 implementations live in :mod:`repro.testing` (oracles, generators,
@@ -9,7 +10,7 @@ existing tests keep reading naturally.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Any, Set, Tuple
 
 from repro.core import LTS
 from repro.testing import (
@@ -28,6 +29,7 @@ __all__ = [
     "tau_heavy_lts_strategy",
     "naive_branching_bisimulation",
     "naive_weak_bisimulation",
+    "typed",
 ]
 
 
@@ -39,3 +41,11 @@ def naive_branching_bisimulation(lts: LTS) -> Set[Tuple[int, int]]:
 def naive_weak_bisimulation(lts: LTS) -> Set[Tuple[int, int]]:
     """Greatest weak bisimulation by naive fixpoint (Milner)."""
     return weak_bisimulation_relation(lts)
+
+
+def typed(value: Any) -> Any:
+    """``value`` with the type of every nested item made explicit, so
+    ``==`` on the result is type-exact (``False`` never equals ``0``)."""
+    if isinstance(value, tuple):
+        return (type(value), tuple(map(typed, value)))
+    return (type(value), value)

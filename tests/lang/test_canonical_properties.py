@@ -3,8 +3,9 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.lang.state import canonicalize
+from repro.lang.state import canonicalize, state_refs
 from repro.lang.values import Ref
+from tests.helpers import typed
 
 COMMON = settings(max_examples=100, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -97,3 +98,20 @@ def test_canonicalize_preserves_thread_scalars(state):
         assert result[0] == original[0]
         assert result[1] == original[1]
         assert result[3] == original[3]
+
+
+def indices(value):
+    return tuple(ref.index for ref in all_refs(value, []))
+
+
+@COMMON
+@given(state_strategy())
+def test_canonicalize_with_precomputed_refs_matches_a_fresh_scan(state):
+    globals_, heap, threads = state
+    refs = (
+        indices(globals_),
+        [indices(node[1:]) for node in heap],
+        [indices(record[2]) for record in threads],
+    )
+    assert state_refs(*state) == (refs[0], tuple(refs[1]), tuple(refs[2]))
+    assert typed(canonicalize(*state, refs)) == typed(canonicalize(*state))

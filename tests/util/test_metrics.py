@@ -172,7 +172,8 @@ def test_disabled_stats_make_no_instrumentation_calls(monkeypatch):
     Counts calls instead of timing them: with ``stats=None`` neither
     serial ``explore`` nor the sharded supervisor may touch a ``Stats``
     method or read the supervisor's sub-stage clock.  With a sink, the
-    supervisor records its replay/decode/encode timers.
+    supervisor records its replay/decode/encode timers, and serial
+    ``explore`` records its step-memo misses once, at the end.
     """
     calls = []
     for name in ("stage", "count"):
@@ -206,3 +207,11 @@ def test_disabled_stats_make_no_instrumentation_calls(monkeypatch):
     assert "perf_counter" in calls
     for name in ("replay_us", "decode_us", "encode_us"):
         assert f"explore.{name}" in stats.counters
+
+    del calls[:]
+    stats = Stats()
+    lts = explore(bench.build(2), config, stats=stats)
+    # One stage, then states, transitions and step_misses: no per-edge
+    # (or per-miss) instrumentation.
+    assert calls == ["stage", "count", "count", "count"]
+    assert 0 < stats.counters["explore.step_misses"] <= 2 * lts.num_states
