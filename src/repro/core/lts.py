@@ -39,6 +39,15 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
+try:  # optional accelerator -- bulk sorting and CSR construction
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is not a hard dependency
+    _np = None
+
+#: Below this many transitions the pure-Python construction wins (array
+#: setup overhead dominates); both build the same CSR columns.
+_NUMPY_MIN_EDGES = 512
+
 #: The canonical label of the silent action.
 TAU: Tuple[str, ...] = ("tau",)
 
@@ -274,9 +283,13 @@ class LTS:
 
         Transitions are sorted by ``(src, action, dst)`` and duplicates
         are merged; annotations of merged duplicates are kept as a
-        tuple of the distinct non-``None`` values.
+        tuple of the distinct non-``None`` values, in insertion order.
         """
-        return FrozenLTS(self)
+        if _np is not None and len(self._src) >= _NUMPY_MIN_EDGES:
+            columns = _sort_dedup_np(self._src, self._act, self._dst, self._ann)
+        else:
+            columns = _sort_dedup_py(self._src, self._act, self._dst, self._ann)
+        return FrozenLTS(self.init, list(self.action_labels), self._num_states, *columns)
 
 
 class FrozenLTS:
@@ -314,59 +327,67 @@ class FrozenLTS:
         "_tau_adj",
     )
 
-    def __init__(self, source: LTS) -> None:
-        self.init: int = source.init
-        self.action_labels: List[Hashable] = list(source.action_labels)
-        self._action_ids: Dict[Hashable, int] = dict(source._action_ids)
-        n = source.num_states
-        self._num_states: int = n
+    def __init__(
+        self,
+        init: int,
+        action_labels: List[Hashable],
+        num_states: int,
+        esrc: array,
+        eact: array,
+        edst: array,
+        eann: Optional[List[Optional[Tuple[Any, ...]]]] = None,
+    ) -> None:
+        """Adopt already sorted, duplicate-free ``(src, act, dst)``
+        columns (``array('q')``, sorted by ``(src, act, dst)``) and
+        build the row offsets, the mirrored predecessor CSR and the
+        silent-edge arrays from them in bulk.
 
-        triples = sorted(zip(source._src, source._act, source._dst,
-                             range(source.num_transitions)))
-        anns = source._ann
-        any_ann = any(a is not None for a in anns)
-
-        esrc = array("q")
-        eact = array("q")
-        edst = array("q")
-        eann: Optional[List[Optional[Tuple[Any, ...]]]] = [] if any_ann else None
-        last: Optional[Tuple[int, int, int]] = None
-        for src, act, dst, index in triples:
-            key = (src, act, dst)
-            if key == last:
-                if eann is not None:
-                    ann = anns[index]
-                    if ann is not None:
-                        merged = eann[-1] or ()
-                        if ann not in merged:
-                            eann[-1] = merged + (ann,)
-                continue
-            last = key
-            esrc.append(src)
-            eact.append(act)
-            edst.append(dst)
-            if eann is not None:
-                ann = anns[index]
-                eann.append((ann,) if ann is not None else None)
+        ``action_labels`` is adopted as the interning table (label
+        ``i`` has action id ``i``; ``action_labels[0]`` is ``TAU``).
+        ``eann``, when given, holds per edge the tuple of distinct
+        merged annotations or ``None``.  Every producer --
+        :meth:`LTS.freeze`, :func:`disjoint_union`, the reduction --
+        constructs through here.
+        """
+        self.init: int = init
+        self.action_labels: List[Hashable] = action_labels
+        self._action_ids: Dict[Hashable, int] = {
+            label: aid for aid, label in enumerate(action_labels)
+        }
+        self._num_states: int = num_states
         self._esrc = esrc
         self._eact = eact
         self._edst = edst
         self._eann = eann
+        self._tau_adj: Optional[List[List[int]]] = None
 
-        self._ptr = _offsets(n, esrc)
+        if _np is not None and len(esrc) >= _NUMPY_MIN_EDGES:
+            np = _np
+            src = np.frombuffer(esrc, dtype=np.int64)
+            act = np.frombuffer(eact, dtype=np.int64)
+            dst = np.frombuffer(edst, dtype=np.int64)
+            states = np.arange(num_states + 1, dtype=np.int64)
+            self._ptr = _to_array(np.searchsorted(src, states))
+            mirror = np.lexsort((src, act, dst))
+            self._pact = _to_array(act[mirror])
+            self._psrc = _to_array(src[mirror])
+            self._pptr = _to_array(np.searchsorted(dst[mirror], states))
+            tau = act == TAU_ID
+            self._tau_src = _to_array(src[tau])
+            self._tau_dst = _to_array(dst[tau])
+            return
 
-        mirror = sorted(zip(edst, eact, esrc))
+        self._ptr = _offsets(num_states, esrc)
         pdst = array("q")
         pact = array("q")
         psrc = array("q")
-        for dst, act, src in mirror:
+        for dst, act, src in sorted(zip(edst, eact, esrc)):
             pdst.append(dst)
             pact.append(act)
             psrc.append(src)
         self._pact = pact
         self._psrc = psrc
-        self._pptr = _offsets(n, pdst)
-
+        self._pptr = _offsets(num_states, pdst)
         tau_src = array("q")
         tau_dst = array("q")
         for src, act, dst in zip(esrc, eact, edst):
@@ -375,7 +396,6 @@ class FrozenLTS:
                 tau_dst.append(dst)
         self._tau_src = tau_src
         self._tau_dst = tau_dst
-        self._tau_adj: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------
     # basic queries (same API as the builder)
@@ -567,6 +587,77 @@ def _offsets(num_states: int, sorted_column: array) -> array:
     return ptr
 
 
+def _to_array(values: Any) -> array:
+    """Copy an int64 NumPy vector into an ``array('q')`` column."""
+    out = array("q")
+    out.frombytes(_np.ascontiguousarray(values, dtype=_np.int64).tobytes())
+    return out
+
+
+Columns = Tuple[array, array, array, Optional[List[Optional[Tuple[Any, ...]]]]]
+
+
+def _sort_dedup_py(
+    src: List[int], act: List[int], dst: List[int], anns: List[Any]
+) -> Columns:
+    """Sorted, duplicate-free CSR columns plus merged annotations
+    (``None`` when no transition is annotated)."""
+    esrc = array("q")
+    eact = array("q")
+    edst = array("q")
+    any_ann = any(a is not None for a in anns)
+    eann: Optional[List[Optional[Tuple[Any, ...]]]] = [] if any_ann else None
+    last: Optional[Tuple[int, int, int]] = None
+    for s, a, d, index in sorted(zip(src, act, dst, range(len(src)))):
+        key = (s, a, d)
+        if key == last:
+            if eann is not None:
+                ann = anns[index]
+                if ann is not None:
+                    merged = eann[-1] or ()
+                    if ann not in merged:
+                        eann[-1] = merged + (ann,)
+            continue
+        last = key
+        esrc.append(s)
+        eact.append(a)
+        edst.append(d)
+        if eann is not None:
+            ann = anns[index]
+            eann.append((ann,) if ann is not None else None)
+    return esrc, eact, edst, eann
+
+
+def _sort_dedup_np(
+    src: List[int], act: List[int], dst: List[int], anns: List[Any]
+) -> Columns:
+    """:func:`_sort_dedup_py` by one stable ``lexsort`` and a
+    run-boundary mask; only duplicate runs merge annotations in Python."""
+    np = _np
+    s = np.array(src, dtype=np.int64)
+    a = np.array(act, dtype=np.int64)
+    d = np.array(dst, dtype=np.int64)
+    order = np.lexsort((d, a, s))  # stable: repeats keep insertion order
+    s, a, d = s[order], a[order], d[order]
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = (s[1:] != s[:-1]) | (a[1:] != a[:-1]) | (d[1:] != d[:-1])
+    eann: Optional[List[Optional[Tuple[Any, ...]]]] = None
+    if any(ann is not None for ann in anns):
+        eann = [
+            None if ann is None else (ann,)
+            for ann in map(anns.__getitem__, order[first].tolist())
+        ]
+        repeats = np.nonzero(~first)[0]
+        slots = (np.cumsum(first) - 1)[repeats].tolist()
+        for slot, index in zip(slots, order[repeats].tolist()):
+            ann = anns[index]
+            if ann is not None:
+                merged = eann[slot] or ()
+                if ann not in merged:
+                    eann[slot] = merged + (ann,)
+    return _to_array(s[first]), _to_array(a[first]), _to_array(d[first]), eann
+
+
 def _reachable_states(lts: AnyLTS) -> List[int]:
     if lts.num_states == 0:
         return []
@@ -613,16 +704,76 @@ def disjoint_union(a: AnyLTS, b: AnyLTS) -> Tuple[FrozenLTS, int, int]:
     is ``init_a``.  This is the construction used when two object
     systems are compared for (divergence-sensitive) branching
     bisimilarity (Section V of the paper).
+
+    The union's action labels are those *used* by ``a`` and then by
+    ``b``, each in first-occurrence order over the side's transitions
+    (CSR order for a frozen side, insertion order for a builder), so
+    the result equals adding every transition of ``a`` then of ``b``
+    to a fresh builder and freezing it -- which is what the pure-Python
+    fallback does, minus the builder.  With NumPy the sides' CSR
+    columns are concatenated instead.
     """
-    out = LTS()
-    out.add_states(a.num_states + b.num_states)
-    offset = a.num_states
-    for src, aid, dst, ann in a.transitions_with_annotations():
-        out.add_transition(src, a.action_labels[aid], dst, ann)
-    for src, aid, dst, ann in b.transitions_with_annotations():
-        out.add_transition(src + offset, b.action_labels[aid], dst + offset, ann)
-    out.init = a.init
-    return out.freeze(), a.init, b.init + offset
+    labels: List[Hashable] = [TAU]
+    ids: Dict[Hashable, int] = {TAU: TAU_ID}
+    sides = []
+    for side, shift in ((a, 0), (b, a.num_states)):
+        used = dict.fromkeys(side._eact if isinstance(side, FrozenLTS) else side._act)
+        remap = list(range(len(side.action_labels)))
+        for old in used:
+            label = side.action_labels[old]
+            new = ids.get(label)
+            if new is None:
+                new = ids[label] = len(labels)
+                labels.append(label)
+            remap[old] = new
+        new_ids = [remap[old] for old in sorted(used)]
+        sides.append((side, shift, remap, new_ids != sorted(new_ids)))
+
+    if _np is None or a.num_transitions + b.num_transitions < _NUMPY_MIN_EDGES:
+        src: List[int] = []
+        act: List[int] = []
+        dst: List[int] = []
+        anns: List[Any] = []
+        for side, shift, remap, _ in sides:
+            for s, aid, d, ann in side.transitions_with_annotations():
+                src.append(s + shift)
+                act.append(remap[aid])
+                dst.append(d + shift)
+                anns.append(ann)
+        columns = _sort_dedup_py(src, act, dst, anns)
+    else:
+        columns = _concat_sides_np(sides)
+    union = FrozenLTS(a.init, labels, a.num_states + b.num_states, *columns)
+    return union, a.init, b.init + a.num_states
+
+
+def _concat_sides_np(sides: List[Tuple[AnyLTS, int, List[int], bool]]) -> Columns:
+    """The union's columns from each side's own CSR columns: action ids
+    remapped, states shifted, a side re-sorted only when its remap is
+    not monotone; annotation lists padded with ``None``."""
+    np = _np
+    parts = []
+    for side, shift, remap, resort in sides:
+        frozen = ensure_frozen(side)
+        src, act, dst = (np.frombuffer(c, dtype=np.int64) for c in frozen.edge_arrays())
+        src, act, dst = src + shift, np.asarray(remap, dtype=np.int64)[act], dst + shift
+        eann = frozen._eann
+        if resort:
+            order = np.lexsort((dst, act, src))
+            src, act, dst = src[order], act[order], dst[order]
+            if eann is not None:
+                eann = list(map(eann.__getitem__, order.tolist()))
+        parts.append((src, act, dst, eann))
+    (sa, aa, da, ann_a), (sb, ab, db, ann_b) = parts
+    union_ann = None
+    if ann_a is not None or ann_b is not None:
+        union_ann = (ann_a or [None] * len(sa)) + (ann_b or [None] * len(sb))
+    return (
+        _to_array(np.concatenate((sa, sb))),
+        _to_array(np.concatenate((aa, ab))),
+        _to_array(np.concatenate((da, db))),
+        union_ann,
+    )
 
 
 class LTSBuilder:

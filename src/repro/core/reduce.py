@@ -50,11 +50,12 @@ it only when no initial partition is given.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .graphs import tarjan_scc
-from .lts import LTS, TAU_ID, AnyLTS, FrozenLTS, ensure_frozen
+from .lts import TAU_ID, AnyLTS, FrozenLTS, _to_array, ensure_frozen
 from .partition import BlockMap
 
 try:  # optional accelerator -- vectorizes the confluence fixpoint
@@ -141,10 +142,8 @@ def _reduce_py(
 ) -> ReducedLTS:
     n = frozen.num_states
     if n == 0:
-        empty = LTS()
-        for label in frozen.action_labels[1:]:
-            empty.action_id(label)
-        return ReducedLTS(empty.freeze(), [], [], [], 0, 0)
+        empty = FrozenLTS(0, list(frozen.action_labels), 0, array("q"), array("q"), array("q"))
+        return ReducedLTS(empty, [], [], [], 0, 0)
 
     # -- layer 1: condense inert tau-SCCs ------------------------------
     tau_adj = frozen.tau_adjacency()
@@ -260,27 +259,21 @@ def _reduce_py(
     terminals = sorted({rep[comp] for comp in range(num_comps)})
     new_id = {comp: index for index, comp in enumerate(terminals)}
 
-    out = LTS()
-    for label in frozen.action_labels[1:]:
-        out.action_id(label)
-    out.add_states(len(terminals))
-    out.init = new_id[rep[comp_of[frozen.init]]]
     emitted: Set[Tuple[int, int, int]] = set()
     for comp in terminals:
         src = new_id[comp]
         for rem in csucc[comp]:
             aid, cdst = divmod(rem, C)
-            edge = (src, aid, new_id[rep[cdst]])
-            if edge not in emitted:
-                emitted.add(edge)
-                out.add_transition_by_id(*edge)
+            emitted.add((src, aid, new_id[rep[cdst]]))
         if divergence and marked[comp]:
-            loop = (src, TAU_ID, src)
-            if loop not in emitted:
-                emitted.add(loop)
-                out.add_transition_by_id(*loop)
-
-    reduced = out.freeze()
+            emitted.add((src, TAU_ID, src))
+    edges = sorted(emitted)
+    reduced = FrozenLTS(
+        new_id[rep[comp_of[frozen.init]]],
+        list(frozen.action_labels),
+        len(terminals),
+        *(array("q", [edge[k] for edge in edges]) for k in range(3)),
+    )
 
     state_of = [new_id[rep[comp_of[state]]] for state in range(n)]
     representative = [-1] * len(terminals)
@@ -450,19 +443,19 @@ def _reduce_np(
         out_codes = np.concatenate(
             [out_codes, (loops * A + TAU_ID) * num_terminals + loops]
         )
+    # Sorted and unique, so decoding yields the CSR columns directly.
     out_codes = np.unique(out_codes)
-
-    out = LTS()
-    for label in frozen.action_labels[1:]:
-        out.action_id(label)
-    out.add_states(num_terminals)
-    out.init = int(new_id[rep[comp_of[frozen.init]]])
-    stride = A * num_terminals
-    for code in out_codes.tolist():
-        src, rem = divmod(code, stride)
-        aid, dst = divmod(rem, num_terminals)
-        out.add_transition_by_id(src, aid, dst)
-    reduced = out.freeze()
+    out_src = out_codes // (A * num_terminals)
+    out_rem = out_codes - out_src * (A * num_terminals)
+    out_act = out_rem // num_terminals
+    reduced = FrozenLTS(
+        int(new_id[rep[comp_of[frozen.init]]]),
+        list(frozen.action_labels),
+        num_terminals,
+        _to_array(out_src),
+        _to_array(out_act),
+        _to_array(out_rem - out_act * num_terminals),
+    )
 
     first_state = np.full(C, n, dtype=np.int64)
     np.minimum.at(first_state, comp_of, np.arange(n, dtype=np.int64))
