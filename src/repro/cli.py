@@ -13,6 +13,7 @@ Subcommands::
     fuzz                         differential-test the engine vs oracles
     serve --socket SPEC          run the verification service daemon
     submit <kind> <key>          submit a job to a running daemon
+    worker --listen SPEC         serve exploration shards to --remote runs
 
 The long-running commands accept run-budget flags (``--deadline``,
 ``--max-rss-mb``) and degrade gracefully: on exhaustion they print a
@@ -44,9 +45,13 @@ the job).  ``lin`` / ``lockfree`` and the daemon answer the same
 :func:`~repro.verify.jobs.run_job`, and ``submit`` prints its answer
 with the same :func:`~repro.verify.jobs.render`, so a served verdict,
 counterexample, printed block and exit code are the direct ones.  The
-``--workers`` / ``--remote`` / ... flags become one
-:class:`~repro.parallel.ParallelConfig` before any command runs; a
-malformed one is a usage error (exit 2).  See docs/ROBUSTNESS.md and
+five parallel flags (``--workers``, ``--shard-states``,
+``--heartbeat-timeout``, ``--fault-plan``, ``--remote``) become the
+five fields of one :class:`~repro.parallel.ParallelConfig` before any
+command runs; a malformed one is a usage error (exit 2).  Workers are
+local forks, or ``repro worker --listen`` processes when ``--remote``
+names their addresses (a dead remote pool degrades to local forks,
+then to in-process serial).  See docs/ROBUSTNESS.md and
 docs/TESTING.md.
 
 Examples::
@@ -166,14 +171,6 @@ def _add_parallel(parser: argparse.ArgumentParser) -> None:
                              "(HOST:PORT or Unix socket paths) running "
                              "'repro worker --listen'; shards are dispatched "
                              "over RPX1 sockets, output stays byte-identical")
-    parser.add_argument("--remote-listen", default=None, metavar="ADDR",
-                        help="accept agent-mode workers ('repro worker "
-                             "--connect') dialing in on this address")
-    parser.add_argument("--transport", default=None,
-                        choices=("auto", "local", "remote", "mixed"),
-                        help="worker provisioning: local forks, remote "
-                             "sockets, or a mixed pool (default: auto -- "
-                             "remote iff --remote/--remote-listen given)")
     parser.add_argument("--heartbeat-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="silence window before a busy worker is "
@@ -193,21 +190,16 @@ def _parallel_from(parser: argparse.ArgumentParser,
                    args) -> Optional[ParallelConfig]:
     """The one :class:`ParallelConfig` of a command (None = serial).
 
-    Remote addresses, an agent listener or a socket transport imply a
-    sharded run even with ``--workers 0``; the worker target then
-    defaults to the number of remote addresses.  A malformed fault plan
-    or heartbeat window is a usage error (exit 2), not a verdict.
+    Remote addresses imply a sharded run even with ``--workers 0``; the
+    worker target then defaults to the number of remote addresses.  A
+    malformed fault plan or heartbeat window is a usage error (exit 2),
+    not a verdict.
     """
     remote = tuple(
         part.strip() for part in (args.remote or "").split(",")
         if part.strip()
     )
-    wants_remote = (
-        bool(remote)
-        or args.remote_listen is not None
-        or args.transport in ("remote", "mixed")
-    )
-    if args.workers < 1 and not wants_remote:
+    if args.workers < 1 and not remote:
         return None
     tuning = {}
     if args.shard_states is not None:
@@ -220,8 +212,6 @@ def _parallel_from(parser: argparse.ArgumentParser,
             fault_plan=(FaultPlan.parse(args.fault_plan)
                         if args.fault_plan else None),
             remote=remote,
-            remote_listen=args.remote_listen,
-            transport=args.transport or "auto",
             **tuning,
         )
     except ValueError as exc:
@@ -675,24 +665,20 @@ def cmd_serve(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    """Run one remote exploration worker (listen or agent mode)."""
+    """Run one remote exploration worker until killed."""
     # Lazy import: the remote runtime pulls in the service package.
     from .parallel.faults import FaultPlan
     from .parallel.remote import WorkerRuntime
 
     runtime = WorkerRuntime(
         listen=args.listen,
-        connect=args.connect,
         fault_plan=FaultPlan.parse(args.fault_plan),
         max_sessions=args.max_sessions,
     )
-    if args.listen is not None:
-        # Port 0 resolves to the kernel-assigned port; scripts parse
-        # this line to learn the address, so keep its shape stable.
-        address = runtime.bind()
-        print(f"worker listening on {address}", flush=True)
-    else:
-        print(f"worker dialing supervisor at {args.connect}", flush=True)
+    # Port 0 resolves to the kernel-assigned port; scripts parse this
+    # line to learn the address, so keep its shape stable.
+    address = runtime.bind()
+    print(f"worker listening on {address}", flush=True)
     try:
         served = runtime.serve_forever()
     except KeyboardInterrupt:
@@ -923,17 +909,9 @@ def build_parser() -> argparse.ArgumentParser:
     worker = commands.add_parser(
         "worker", help="run a remote exploration worker for --remote pools",
     )
-    worker_mode = worker.add_mutually_exclusive_group(required=True)
-    worker_mode.add_argument("--listen", default=None,
-                             metavar="PATH|HOST:PORT",
-                             help="serve supervisors that dial this address "
-                                  "(HOST:0 picks a free TCP port and prints "
-                                  "it)")
-    worker_mode.add_argument("--connect", default=None,
-                             metavar="PATH|HOST:PORT",
-                             help="agent mode: dial a supervisor's "
-                                  "--remote-listen endpoint (re-dials with "
-                                  "decorrelated backoff between sessions)")
+    worker.add_argument("--listen", required=True, metavar="PATH|HOST:PORT",
+                        help="serve supervisors that dial this address "
+                             "(HOST:0 picks a free TCP port and prints it)")
     worker.add_argument("--fault-plan", default=None, metavar="SPEC",
                         help="inject failures locally, overriding the plan "
                              "shipped by the supervisor (testing/CI)")

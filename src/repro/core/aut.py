@@ -21,9 +21,13 @@ rendering would be misread on input -- a plain string label ``"i"`` or
 ``"tau"`` (which would come back as the silent action), a label
 containing ``!`` or ``"``, surrounding whitespace, or a tuple whose
 gate-offer form is ambiguous -- is written as a quoted Python literal
-(``"'i'"``) and restored verbatim by :func:`parse_label`.  The file
-layer escapes ``"`` and ``\\`` inside label fields instead of the
-lossy quote-to-apostrophe rewrite used previously.
+(``"'i'"``) and restored verbatim by :func:`parse_label`.  Offers and
+quoted literals are read by an explicit parser for exactly what
+``repr`` writes (numbers, ``None``/``True``/``False``, strings with
+``repr``'s escapes, tuples); text outside that grammar stays text, so
+how a label parses never depends on the Python version or the warning
+filter.  The file layer escapes ``"`` and ``\\`` inside label fields
+instead of the lossy quote-to-apostrophe rewrite used previously.
 
 :func:`read_aut` validates the header: transitions whose endpoints are
 not below the declared state count, and an initial state out of range,
@@ -33,7 +37,6 @@ LTS silently grew extra states).
 
 from __future__ import annotations
 
-import ast
 import io
 import re
 from typing import Any, Hashable, List, TextIO, Tuple, Union
@@ -104,25 +107,66 @@ def parse_label(text: str) -> Hashable:
     if text in _TAU_SPELLINGS:
         return TAU
     if len(text) >= 2 and text.startswith('"') and text.endswith('"'):
-        inner = _unescape(text[1:-1])
-        try:
-            return ast.literal_eval(inner)
-        except (ValueError, SyntaxError):
-            return inner
+        return _literal_or_text(_unescape(text[1:-1]))
     if "!" in text:
         head, *offers = [part.strip() for part in text.split("!")]
         parts: List[Any] = [head.lower()]
         for offer in offers:
-            parts.append(_parse_offer(offer))
+            parts.append(_literal_or_text(offer))
         return tuple(parts)
     return text
 
 
-def _parse_offer(text: str) -> Any:
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
+#: One token of a literal: a quoted string, a number, a keyword
+#: constant, or tuple punctuation.
+_LITERAL_TOKEN = re.compile(
+    r"""\s*(?:('(?:[^'\\\n]|\\.)*'|"(?:[^"\\\n]|\\.)*")"""
+    r"|(-?\d+(?:\.\d+)?(?:e[-+]\d+)?)|(None|True|False)\b|([(),]))"
+)
+#: One backslash escape inside a string token.
+_STRING_ESCAPE = re.compile(r"\\(x[0-9a-f]{2}|u[0-9a-f]{4}|U[0-9a-f]{8}|.)")
+_CONTROL = {"n": "\n", "r": "\r", "t": "\t"}
+_CONSTANTS = {"None": None, "True": True, "False": False}
+
+
+def _literal_or_text(text: str) -> Any:
+    """The number, constant, string or tuple whose ``repr`` is exactly
+    ``text``; any other text is returned as is."""
+    stack: List[List[Any]] = [[]]
+    at = 0
+    while at < len(text):
+        match = _LITERAL_TOKEN.match(text, at)
+        if match is None:
+            return text
+        at = match.end()
+        string, number, constant, punct = match.groups()
+        if string is not None:
+            stack[-1].append(_STRING_ESCAPE.sub(_unescape_repr, string[1:-1]))
+        elif number is not None:
+            exact = "." not in number and "e" not in number
+            stack[-1].append(int(number) if exact else float(number))
+        elif constant is not None:
+            stack[-1].append(_CONSTANTS[constant])
+        elif punct == "(":
+            stack.append([])
+        elif punct == ")" and len(stack) > 1:
+            items = stack.pop()
+            stack[-1].append(tuple(items))
+        elif punct != ",":
+            return text
+    if len(stack) != 1 or len(stack[0]) != 1:
         return text
+    # The scan above ignores comma placement and escape validity; the
+    # repr check rejects everything repr would not have written.
+    value = stack[0][0]
+    return value if repr(value) == text else text
+
+
+def _unescape_repr(match: "re.Match[str]") -> str:
+    code = match.group(1)
+    if len(code) > 1:
+        return chr(int(code[1:], 16))
+    return _CONTROL.get(code, code)
 
 
 def write_aut(lts: AnyLTS, target: Union[str, TextIO]) -> None:

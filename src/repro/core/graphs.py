@@ -69,24 +69,6 @@ def tarjan_scc(num_nodes: int, successors: Callable[[int], Iterable[int]]) -> Tu
     return comp_of, num_comps
 
 
-def scc_has_cycle(
-    num_nodes: int,
-    comp_of: Sequence[int],
-    num_comps: int,
-    edges: Iterable[Tuple[int, int]],
-) -> List[bool]:
-    """Which components contain a cycle (size > 1, or a self-loop edge)."""
-    size = [0] * num_comps
-    for node in range(num_nodes):
-        size[comp_of[node]] += 1
-    cyclic = [count > 1 for count in size]
-    for src, dst in edges:
-        if src == dst or comp_of[src] == comp_of[dst]:
-            if comp_of[src] == comp_of[dst]:
-                cyclic[comp_of[src]] = True
-    return cyclic
-
-
 def reachability_closure(num_nodes: int, successors: Sequence[Sequence[int]]) -> List[frozenset]:
     """For every node, the set of nodes reachable by zero or more edges.
 

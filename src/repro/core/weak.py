@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from .graphs import tarjan_scc
+from .graphs import reachability_closure, tarjan_scc
 from .lts import TAU_ID, AnyLTS, FrozenLTS, disjoint_union, ensure_frozen
 from .partition import (
     BlockMap,
@@ -49,21 +49,7 @@ def _tau_successor_lists(lts: AnyLTS) -> List[List[int]]:
 
 def tau_closures(lts: AnyLTS) -> List[frozenset]:
     """For every state, the set of states reachable by zero or more taus."""
-    n = lts.num_states
-    tau_succ = _tau_successor_lists(lts)
-    comp_of, num_comps = tarjan_scc(n, lambda s: tau_succ[s])
-    members: List[List[int]] = [[] for _ in range(num_comps)]
-    for state in range(n):
-        members[comp_of[state]].append(state)
-    comp_reach: List[set] = [set() for _ in range(num_comps)]
-    for comp in range(num_comps):
-        reach = comp_reach[comp]
-        reach.update(members[comp])
-        for src in members[comp]:
-            for dst in tau_succ[src]:
-                if comp_of[dst] != comp:
-                    reach |= comp_reach[comp_of[dst]]
-    return [frozenset(comp_reach[comp_of[state]]) for state in range(n)]
+    return reachability_closure(lts.num_states, _tau_successor_lists(lts))
 
 
 def _weak_step_sets(lts: AnyLTS, closures: List[frozenset]) -> List[frozenset]:

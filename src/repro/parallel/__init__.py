@@ -4,7 +4,8 @@ Public surface:
 
 * :func:`parallel_explore` -- drop-in parallel counterpart of
   :func:`repro.lang.client.explore` (byte-identical frozen result).
-* :class:`ParallelConfig` -- worker count, shard size, failure policy.
+* :class:`ParallelConfig` -- worker count, shard size, hang window,
+  fault plan and remote worker addresses.
 * :class:`FaultPlan` -- injected failures for testing the policy.
 """
 

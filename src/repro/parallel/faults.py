@@ -15,7 +15,7 @@ Each fault is ``kind:worker@states`` (``kind@states`` is shorthand for
     ``exit``    -- the worker exits cleanly without a result (same
     recovery, different detection path);
     ``stall``   -- the worker stops sending heartbeats and sleeps
-    (recovered by the heartbeat timeout / shard deadline);
+    (recovered by the heartbeat timeout);
     ``corrupt`` -- the worker flips bytes in its next result frame
     *after* the checksum is computed, so the supervisor's CRC check
     rejects it (recovered like a crash).

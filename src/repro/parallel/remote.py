@@ -1,15 +1,12 @@
 """Remote worker pool: sharded exploration over RPX1 sockets.
 
-PR 5's supervisor forked its workers; this module lets the same wave
-protocol cross machine boundaries.  Three pieces:
+The forked supervisor of :mod:`repro.parallel.supervisor` speaks the
+same wave protocol over sockets through this module.  Three pieces:
 
-* :class:`WorkerRuntime` -- the worker side (``repro worker``).  In
-  *listen* mode it accepts supervisor connections on a TCP/Unix socket
-  and serves one exploration session per connection; in *agent* mode it
-  dials a supervisor's ``--remote-listen`` endpoint instead (the worker
-  initiates, which crosses NAT and matches "cloud agent" deployment).
-  Either way a session is: receive ``init`` (program + config +
-  heartbeat cadence + fault plan), rebuild the
+* :class:`WorkerRuntime` -- the worker side (``repro worker --listen``).
+  It accepts supervisor connections on a TCP/Unix socket and serves
+  one exploration session per connection: receive ``init`` (program +
+  config + heartbeat cadence + fault plan), rebuild the
   :class:`~repro.lang.client.ExpansionContext` locally, answer
   ``hello``, then loop shards through the exact
   :func:`repro.parallel.worker.run_shard` core the forked workers use
@@ -22,25 +19,24 @@ protocol cross machine boundaries.  Three pieces:
   supervisor's selector loop, hang detection and requeue logic need no
   transport branches.
 
-* :class:`RemoteTransport` -- the provisioning strategy (socket pool,
-  with optional mixed-in local forks), plugging into the same slot as
-  the supervisor's default
-  :class:`~repro.parallel.supervisor.LocalForkTransport`.  The
-  supervisor delegates worker *provisioning* to its transport;
-  everything after an endpoint exists (dispatch, acks, results,
-  failure recovery) is transport-agnostic.
+* :class:`RemoteTransport` -- the socket pool, plugging into the same
+  slot as the supervisor's default
+  :class:`~repro.parallel.supervisor.LocalForkTransport`; the
+  supervisor uses it exactly when ``ParallelConfig.remote`` names
+  addresses.  The supervisor delegates worker *provisioning* to its
+  transport; everything after an endpoint exists (dispatch, acks,
+  results, failure recovery) is transport-agnostic.
 
-Failure model additions on top of PR 5 (see docs/ROBUSTNESS.md):
+Failure model on top of the forked pool's (see docs/ROBUSTNESS.md):
 connection loss requeues the in-flight shard exactly once (stale late
 results are dropped by shard-id, as before) and schedules a redial
-under a *decorrelated-jitter* :class:`~repro.util.retry.BackoffPolicy`
-with a per-address retry budget; a stalled socket is caught by the
-same heartbeat grace window as a stalled pipe; a corrupted frame kills
-the connection via the CRC check; and when every remote address is
-spent the supervisor salvages a checkpoint and walks the degradation
-ladder: remote -> local forks -> in-process serial.  Byte-identical
-output is preserved throughout because interning never leaves the
-supervisor.
+under :data:`REDIAL_POLICY` with a per-address budget of
+:data:`REDIAL_BUDGET` failures; a stalled socket is caught by the same
+heartbeat grace window as a stalled pipe; a corrupted frame kills the
+connection via the CRC check; and when every remote address is spent
+the supervisor salvages a checkpoint and walks the degradation ladder:
+remote -> local forks -> in-process serial.  Byte-identical output is
+preserved throughout because interning never leaves the supervisor.
 """
 
 from __future__ import annotations
@@ -80,19 +76,20 @@ from .protocol import (
 )
 from .worker import HEARTBEAT_SECONDS, run_shard
 
-#: Default ceiling on consecutive failed (re)dials of one remote
-#: address before the supervisor writes it off; a successful handshake
-#: resets the count.
+#: Ceiling on consecutive failed (re)dials of one remote address
+#: before the supervisor writes it off; a successful handshake resets
+#: the count.
 REDIAL_BUDGET = 3
 
-#: Default per-connect (dial + init/hello handshake) deadline.
+#: Per-connect (dial + init/hello handshake) deadline, seconds.
 CONNECT_TIMEOUT = 5.0
 
-#: Default bound on how long one frame send to a remote worker may
-#: block the supervisor before the connection is declared lost.
+#: Bound on how long one frame send to a remote worker may block the
+#: supervisor before the connection is declared lost, seconds.
 SEND_TIMEOUT = 30.0
 
-#: Redial schedule: the supervisor's requeue base/cap, but with
+#: Redial schedule: the supervisor's requeue base/cap
+#: (:data:`repro.parallel.supervisor.REQUEUE_POLICY`), but with
 #: decorrelated jitter -- several supervisors (or one supervisor with
 #: several slots) redialing one recovered host must not stampede it.
 REDIAL_POLICY = BackoffPolicy(base=0.05, cap=2.0, decorrelated=True)
@@ -127,7 +124,7 @@ class RemoteEndpoint:
     polls :meth:`fileno` through its selector, drains bytes with
     :meth:`read_chunk` (non-blocking; ``b""`` means the connection
     died), and ships frames with :meth:`send_frame` (bounded by
-    ``send_timeout`` -- a peer that stops draining its socket is a
+    :data:`SEND_TIMEOUT` -- a peer that stops draining its socket is a
     connection loss, not a supervisor hang).
     """
 
@@ -139,14 +136,12 @@ class RemoteEndpoint:
         sock: socket.socket,
         decoder: FrameDecoder,
         address: str,
-        send_timeout: float = SEND_TIMEOUT,
         initial_frames: Optional[List[Any]] = None,
     ) -> None:
         self.index = index
         self.sock = sock
         self.decoder = decoder
         self.address = address
-        self.send_timeout = send_timeout
         self._initial_frames = list(initial_frames or ())
         self.shard: Optional[Tuple[int, List[Any]]] = None
         self.acked = False
@@ -161,7 +156,7 @@ class RemoteEndpoint:
         return frames
 
     def send_frame(self, data: bytes) -> None:
-        deadline = time.monotonic() + self.send_timeout
+        deadline = time.monotonic() + SEND_TIMEOUT
         view = memoryview(data)
         while view:
             try:
@@ -171,7 +166,7 @@ class RemoteEndpoint:
                 if remaining <= 0:
                     raise TimeoutError(
                         f"send to {self.address} timed out "
-                        f"({self.send_timeout}s)"
+                        f"({SEND_TIMEOUT}s)"
                     ) from None
                 select.select([], [self.sock], [], min(remaining, 0.25))
                 continue
@@ -186,12 +181,6 @@ class RemoteEndpoint:
         except OSError:
             pass
 
-    def close_in_child(self) -> None:
-        self.close(kill=False)
-
-    def describe(self) -> str:
-        return f"remote worker {self.index} ({self.address})"
-
 
 def _handshake(
     sock: socket.socket,
@@ -199,10 +188,7 @@ def _handshake(
     address: str,
     program: Any,
     config: Any,
-    heartbeat_seconds: float,
     fault_plan: Optional[FaultPlan],
-    timeout: float = CONNECT_TIMEOUT,
-    send_timeout: float = SEND_TIMEOUT,
 ) -> RemoteEndpoint:
     """``init``/``hello`` over a fresh socket -> a ready endpoint.
 
@@ -211,10 +197,10 @@ def _handshake(
     redialed session does not re-arm a fault that already killed a
     predecessor (exactly the fork-respawn semantics).
     """
-    sock.settimeout(timeout)
+    sock.settimeout(CONNECT_TIMEOUT)
     sock.sendall(encode_frame((
         MSG_INIT, index, WIRE_PYTHON, WIRE_PROTOCOL,
-        dumps_program(program, config), heartbeat_seconds, fault_plan,
+        dumps_program(program, config), HEARTBEAT_SECONDS, fault_plan,
     )))
     decoder = FrameDecoder(max_frame_bytes=MAX_FRAME_BYTES)
     frames: List[Any] = []
@@ -229,10 +215,7 @@ def _handshake(
     if not (isinstance(hello, tuple) and hello and hello[0] == MSG_HELLO):
         raise ConnectionError(f"{address}: expected hello, got {hello!r}")
     sock.setblocking(False)
-    return RemoteEndpoint(
-        index, sock, decoder, address,
-        send_timeout=send_timeout, initial_frames=frames,
-    )
+    return RemoteEndpoint(index, sock, decoder, address, frames)
 
 
 def _handshake_refusal(wire_python: Tuple[int, ...], protocol: Any) -> Optional[str]:
@@ -273,54 +256,26 @@ class _RemoteSlot:
 
 
 class RemoteTransport:
-    """Socket-backed worker pool, optionally mixed with local forks.
+    """Socket-backed worker pool over fixed ``--remote`` addresses.
 
     ``addresses`` get stable worker indices ``0..len-1`` (redials
     reuse the index, so ``--fault-plan 'drop-conn:1@50'`` keeps naming
-    the second ``--remote`` address).  Agent workers dialing
-    ``listen`` are adopted with fresh indices above the slot range.
+    the second ``--remote`` address).
 
-    Degradation: in ``mixed`` mode local forks are first-class pool
-    members from the start; in pure remote mode forks are provisioned
-    only once *every* address slot is dead (redial budget exhausted or
-    partitioned), at which point the supervisor has already salvaged a
-    checkpoint -- the ladder's last rung (in-process serial) is the
-    supervisor's pre-existing target==0 fallback.
+    Degradation: local forks are provisioned only once *every* address
+    slot is dead (redial budget exhausted or partitioned), at which
+    point the supervisor has already salvaged a checkpoint -- the
+    ladder's last rung (in-process serial) is the supervisor's
+    pre-existing target==0 fallback.
     """
 
-    def __init__(
-        self,
-        addresses: Tuple[str, ...],
-        mixed: bool = False,
-        listen: Optional[str] = None,
-        redial_policy: BackoffPolicy = REDIAL_POLICY,
-        redial_budget: int = REDIAL_BUDGET,
-        connect_timeout: float = CONNECT_TIMEOUT,
-        send_timeout: float = SEND_TIMEOUT,
-    ) -> None:
-        self.mixed = mixed
-        self.listen = listen
-        self.redial_policy = redial_policy
-        self.redial_budget = redial_budget
-        self.connect_timeout = connect_timeout
-        self.send_timeout = send_timeout
+    def __init__(self, addresses: Tuple[str, ...]) -> None:
         self.slots = [
-            _RemoteSlot(address, idx, redial_policy.session())
+            _RemoteSlot(address, idx, REDIAL_POLICY.session())
             for idx, address in enumerate(addresses)
         ]
-        self.acceptor: Optional[socket.socket] = None
         self._outage_reported = False
         self._fell_back_to_forks = False
-
-    @property
-    def name(self) -> str:
-        return "mixed" if self.mixed else "remote"
-
-    def start(self, sup) -> None:
-        """Bind the agent-acceptor socket (errors surface at startup)."""
-        if self.listen is not None and self.acceptor is None:
-            self.acceptor = listen_socket(self.listen)
-            self.acceptor.setblocking(False)
 
     # -- provisioning --------------------------------------------------
     def provision(self, sup) -> Optional[Any]:
@@ -334,30 +289,28 @@ class RemoteTransport:
             if endpoint is not None:
                 sup._register(endpoint)
                 return endpoint
-        if self.mixed or (self.slots and all(s.dead for s in self.slots)):
-            if not self.mixed and not self._fell_back_to_forks:
+        if all(s.dead for s in self.slots):
+            if not self._fell_back_to_forks:
                 self._fell_back_to_forks = True
                 sup._count("degraded_to_local")
             return sup._spawn()
-        # Pure remote capacity is (re)connecting or expected to dial
-        # in; the supervisor waits instead of forking prematurely.
+        # Remote capacity is (re)connecting; the supervisor waits
+        # instead of forking prematurely.
         return None
 
     def _connect_slot(self, sup, slot: _RemoteSlot) -> Optional[RemoteEndpoint]:
         try:
-            sock = _dial(slot.address, self.connect_timeout)
+            sock = _dial(slot.address, CONNECT_TIMEOUT)
             endpoint = _handshake(
                 sock, slot.index, slot.address,
                 sup.context.program, sup.context.config,
-                sup.parallel.heartbeat_seconds, sup.parallel.fault_plan,
-                timeout=self.connect_timeout,
-                send_timeout=self.send_timeout,
+                sup.parallel.fault_plan,
             )
         except (OSError, ProtocolError, ConnectionError):
             self._redial_failed(sup, slot)
             return None
         slot.failures = 0
-        slot.schedule = self.redial_policy.session()
+        slot.schedule = REDIAL_POLICY.session()
         slot.endpoint = endpoint
         if slot.ever_connected:
             sup._count("remote_redials")
@@ -367,7 +320,7 @@ class RemoteTransport:
     def _redial_failed(self, sup, slot: _RemoteSlot) -> None:
         slot.failures += 1
         sup._count("remote_redial_failures")
-        if slot.failures > self.redial_budget:
+        if slot.failures > REDIAL_BUDGET:
             slot.dead = True
             sup._count("remote_slots_dead")
             self._note_outage(sup)
@@ -375,50 +328,15 @@ class RemoteTransport:
             slot.next_attempt = time.monotonic() + slot.schedule.next_delay()
 
     def _note_outage(self, sup) -> None:
-        if self.slots and all(s.dead for s in self.slots) \
-                and not self._outage_reported:
+        if all(s.dead for s in self.slots) and not self._outage_reported:
             self._outage_reported = True
             sup._on_remote_outage()
-
-    # -- agent adoption ------------------------------------------------
-    def maintain(self, sup) -> None:
-        if self.acceptor is None:
-            return
-        while True:
-            try:
-                conn, _peer = self.acceptor.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            index = sup.next_worker_index
-            sup.next_worker_index += 1
-            try:
-                endpoint = _handshake(
-                    conn, index, "agent",
-                    sup.context.program, sup.context.config,
-                    sup.parallel.heartbeat_seconds, sup.parallel.fault_plan,
-                    timeout=self.connect_timeout,
-                    send_timeout=self.send_timeout,
-                )
-            except (OSError, ProtocolError, ConnectionError):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                continue
-            sup._register(endpoint)
-            sup._count("remote_agents_adopted")
 
     # -- loss / partition ----------------------------------------------
     def on_lost(self, sup, endpoint, kind: str) -> None:
         if not getattr(endpoint, "is_remote", False):
             return
-        slot = next(
-            (s for s in self.slots if s.index == endpoint.index), None
-        )
-        if slot is None:
-            return  # adopted agent: it re-dials on its own schedule
+        slot = self.slots[endpoint.index]
         slot.endpoint = None
         if kind == "partition":
             slot.dead = True  # outage accounting runs in partition()
@@ -440,40 +358,16 @@ class RemoteTransport:
         ]
         return min(waits) if waits else None
 
-    def close_in_child(self) -> None:
-        if self.acceptor is not None:
-            try:
-                self.acceptor.close()
-            except OSError:
-                pass
-
-    def shutdown(self, sup) -> None:
-        if self.acceptor is not None:
-            try:
-                self.acceptor.close()
-            except OSError:
-                pass
-            self.acceptor = None
-
-    def describe(self) -> str:
-        spec = ",".join(slot.address for slot in self.slots)
-        if self.listen is not None:
-            spec = f"{spec}+listen:{self.listen}" if spec else \
-                f"listen:{self.listen}"
-        return f"{self.name}({spec})"
-
 
 # ----------------------------------------------------------------------
 # worker side: the remote runtime behind ``repro worker``
 # ----------------------------------------------------------------------
 class WorkerRuntime:
-    """A remote exploration worker (listen or agent mode).
+    """A remote exploration worker serving supervisors that dial ``listen``.
 
-    One of ``listen`` (serve supervisors that dial us) or ``connect``
-    (dial a supervisor's ``--remote-listen`` endpoint) must be given.
     ``fault_plan`` injects failures locally, overriding whatever plan
-    the supervisor ships -- the knob CI uses to wound a specific
-    worker process no matter which supervisor reaches it first.
+    the supervisor ships -- the knob CI uses to wound a specific worker
+    process no matter which supervisor reaches it first.
 
     The runtime is single-threaded and serves sessions sequentially;
     scale-out is more worker processes, not threads (expansion is
@@ -483,22 +377,14 @@ class WorkerRuntime:
 
     def __init__(
         self,
-        listen: Optional[str] = None,
-        connect: Optional[str] = None,
+        listen: str,
         fault_plan: Optional[FaultPlan] = None,
         max_sessions: Optional[int] = None,
-        dial_retries: int = 10,
-        dial_policy: BackoffPolicy = REDIAL_POLICY,
         init_timeout: float = 30.0,
     ) -> None:
-        if (listen is None) == (connect is None):
-            raise ValueError("exactly one of listen/connect is required")
         self.listen = listen
-        self.connect = connect
         self.fault_plan = fault_plan if fault_plan else None
         self.max_sessions = max_sessions
-        self.dial_retries = dial_retries
-        self.dial_policy = dial_policy
         self.init_timeout = init_timeout
         self.sessions_served = 0
         self.address: Optional[str] = None
@@ -514,7 +400,6 @@ class WorkerRuntime:
         resolved into the returned address (and ``self.address``), so
         tests and scripts can start workers without picking ports.
         """
-        assert self.listen is not None, "bind() is for listen mode"
         self._sock = listen_socket(self.listen)
         family, _addr = parse_address(self.listen)
         if family == "tcp":
@@ -535,8 +420,6 @@ class WorkerRuntime:
 
     def serve_forever(self) -> int:
         """Serve sessions until stopped; returns sessions served."""
-        if self.connect is not None:
-            return self._serve_agent()
         if self._sock is None:
             self.bind()
         # A bounded accept timeout, not a blocking accept: closing a
@@ -563,38 +446,6 @@ class WorkerRuntime:
                     self.sessions_served += 1
         finally:
             self.stop()
-        return self.sessions_served
-
-    def _serve_agent(self) -> int:
-        schedule = self.dial_policy.session()
-        failures = 0
-        while not self._stopped:
-            if self.max_sessions is not None \
-                    and self.sessions_served >= self.max_sessions:
-                break
-            try:
-                channel = SocketFrameChannel.connect(
-                    self.connect, timeout=self.init_timeout, attempts=1,
-                    max_frame_bytes=MAX_FRAME_BYTES,
-                )
-            except ServiceError:
-                failures += 1
-                if failures > self.dial_retries:
-                    break
-                self._sleep(schedule.next_delay())
-                continue
-            served = self._run_session(channel)
-            if served:
-                self.sessions_served += 1
-                failures = 0
-                schedule = self.dial_policy.session()
-            else:
-                # Dialed someone who never sent init (supervisor gone
-                # or finished): counts towards giving up.
-                failures += 1
-                if failures > self.dial_retries:
-                    break
-                self._sleep(schedule.next_delay())
         return self.sessions_served
 
     # -- one session ---------------------------------------------------
@@ -733,8 +584,3 @@ class WorkerRuntime:
                     raise SessionDrop()  # peer hung up mid-stall
             except OSError:
                 raise SessionDrop()
-
-    def _sleep(self, seconds: float) -> None:
-        deadline = time.monotonic() + seconds
-        while not self._stopped and time.monotonic() < deadline:
-            time.sleep(min(0.1, max(0.0, deadline - time.monotonic())))

@@ -41,36 +41,37 @@ corruption
     A result frame failing the CRC check (:class:`ProtocolError`).
     Treated as a crash: kill, respawn, requeue.
 
-Requeues use capped exponential backoff; a shard failing more than
-``max_shard_retries`` times triggers *degradation* -- the worker target
-drops by one, and at zero the supervisor finishes the remaining
-expansions in-process (plain serial code under the global budget).  On
-budget exhaustion or SIGINT every completed expansion is salvaged into
-a resumable checkpoint: the serial-prefix replay stops at the first
-state with no recorded expansion (exactly a serial safe point, so a
-*serial* ``--resume`` works unchanged) and the not-yet-replayed
-expansions ride along in ``Checkpoint.expansions`` so a *parallel*
-resume loses no finished work either.  Keys and edge tuples exist only
-at that boundary: salvage converts pids back to keys, resume interns
-the checkpoint's keys into fresh pids.
+Requeues use capped exponential backoff (:data:`REQUEUE_POLICY`); a
+shard failing more than :data:`MAX_SHARD_RETRIES` times triggers
+*degradation* -- the worker target drops by one, and at zero the
+supervisor finishes the remaining expansions in-process (plain serial
+code under the global budget).  On budget exhaustion or SIGINT every
+completed expansion is salvaged into a resumable checkpoint: the
+serial-prefix replay stops at the first state with no recorded
+expansion (exactly a serial safe point, so a *serial* ``--resume``
+works unchanged) and the not-yet-replayed expansions ride along in
+``Checkpoint.expansions`` so a *parallel* resume loses no finished work
+either.  Keys and edge tuples exist only at that boundary: salvage
+converts pids back to keys, resume interns the checkpoint's keys into
+fresh pids.
 
-Workers are *provisioned* through a pluggable transport: the default
-:class:`LocalForkTransport` forks children over pipes (the original PR
-5 behavior), while :class:`repro.parallel.remote.RemoteTransport`
-dials ``repro worker`` processes over TCP/Unix sockets (optionally
-mixing in local forks).  Both produce endpoints with the same
-``fileno``/``send_frame``/``read_chunk`` surface, so dispatch, acks,
-hang detection and the whole failure model above are shared verbatim.
-The network adds its own failure kinds on top -- connection loss
-(redialed under a decorrelated-jitter backoff with a retry budget),
-silent sockets (the existing heartbeat grace window), corrupted frames
-(the existing CRC rejection), and wave-boundary *partitions* that sever
-every remote at once -- and one extra degradation rung: when the whole
-remote pool is written off, the supervisor salvages a checkpoint and
-falls back to local forks before the final in-process-serial rung.
-``remote`` is imported lazily (only when a remote transport is
-configured): it pulls in :mod:`repro.service.channel`, whose package
-``__init__`` imports the daemon, which imports this module back.
+Workers come from one of two transports, chosen by the input: with no
+``remote`` addresses :class:`LocalForkTransport` forks children over
+pipes; with them :class:`repro.parallel.remote.RemoteTransport` dials
+``repro worker --listen`` processes over TCP/Unix sockets.  Both
+produce endpoints with the same ``fileno``/``send_frame``/``read_chunk``
+surface, so dispatch, acks, hang detection and the whole failure model
+above are shared verbatim.  The network adds its own failure kinds on
+top -- connection loss (redialed under a decorrelated-jitter backoff
+with a retry budget), silent sockets (the existing heartbeat grace
+window), corrupted frames (the existing CRC rejection), and
+wave-boundary *partitions* that sever every remote at once -- and one
+extra degradation rung: when the whole remote pool is written off, the
+supervisor salvages a checkpoint and falls back to local forks before
+the final in-process-serial rung.  ``remote`` is imported lazily (only
+when remote addresses are given): it pulls in
+:mod:`repro.service.channel`, whose package ``__init__`` imports the
+daemon, which imports this module back.
 """
 
 from __future__ import annotations
@@ -109,20 +110,35 @@ from .protocol import (
     ProtocolError,
     encode_frame,
 )
-from .worker import kind_key, pack_edges, worker_main
+from .worker import HEARTBEAT_SECONDS, kind_key, pack_edges, worker_main
 
 #: Upper bound on one ``select`` wait, so SIGINT tokens, backoff expiry
 #: and hang deadlines are observed promptly.
 _POLL_SECONDS = 0.25
 
+#: Requeues a single shard may consume before the supervisor degrades
+#: (drops the worker target by one).
+MAX_SHARD_RETRIES = 3
+
+#: Delay before the n-th requeue of a shard: ``min(0.05 * 2**(n-1),
+#: 2.0)`` seconds, without jitter -- shard requeues are serialized
+#: through one supervisor, so there is no herd to de-synchronize and
+#: determinism matters more.  :data:`repro.parallel.remote.REDIAL_POLICY`
+#: is the same schedule with decorrelated jitter.
+REQUEUE_POLICY = BackoffPolicy(base=0.05, cap=2.0)
+
 
 @dataclass
 class ParallelConfig:
-    """Tuning knobs of the sharded exploration supervisor.
+    """What a command line sets for sharded exploration.
 
-    Validated on construction (``ValueError``), so a bad transport,
-    worker count or heartbeat window is refused before any worker is
-    provisioned -- the CLI reports it as a usage error.
+    Validated on construction (``ValueError``), so a bad worker count or
+    heartbeat window is refused before any worker is provisioned -- the
+    CLI reports it as a usage error.  Everything else (heartbeat
+    interval, retry and redial budgets, backoff, socket timeouts) is a
+    module constant: :data:`repro.parallel.worker.HEARTBEAT_SECONDS`,
+    :data:`MAX_SHARD_RETRIES`, :data:`REQUEUE_POLICY` and the
+    ``REDIAL_*``/``*_TIMEOUT`` constants of :mod:`repro.parallel.remote`.
     """
 
     #: Worker process target.  ``1`` still exercises the full protocol
@@ -133,109 +149,33 @@ class ParallelConfig:
     shard_states: int = 128
     #: Seconds without any frame from a busy worker before it is
     #: declared hung, killed, and its shard requeued.  Workers heartbeat
-    #: *between* state expansions, so this must exceed the slowest
-    #: single ``expand()`` call -- a state that legitimately takes
-    #: longer is indistinguishable from a stall by silence alone and
-    #: would be killed (and requeued, and killed again) on every retry
-    #: until the pool degrades to serial.  When ``shard_deadline`` is
-    #: set the effective hang deadline stretches to cover it (see
-    #: :meth:`Supervisor._check_hangs`), since the child then reports
-    #: exhaustion on its own.
+    #: *between* state expansions, every ``HEARTBEAT_SECONDS``, so this
+    #: must exceed both that interval and the slowest single
+    #: ``expand()`` call -- a state that legitimately takes longer is
+    #: indistinguishable from a stall by silence alone and would be
+    #: killed (and requeued, and killed again) on every retry until the
+    #: pool degrades to serial.
     heartbeat_timeout: float = 10.0
-    #: Optional per-shard wall-clock cap; combined with the remaining
-    #: global deadline into the :class:`ChildAllowance` shipped with the
-    #: shard (the child exhausts cleanly instead of being shot).
-    shard_deadline: Optional[float] = None
-    #: Requeues a single shard may consume before the supervisor
-    #: degrades (drops the worker target by one).
-    max_shard_retries: int = 3
-    #: Exponential backoff for requeued shards: the n-th retry waits
-    #: ``min(backoff_base * 2**(n-1), backoff_cap)`` seconds (a
-    #: :class:`repro.util.retry.BackoffPolicy` without jitter -- shard
-    #: requeues are serialized through one supervisor, so there is no
-    #: herd to de-synchronize and determinism matters more).
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    #: Seconds between a busy worker's progress heartbeats.  Heartbeats
-    #: are emitted *between* state expansions (no timer thread in the
-    #: child), so this is a lower bound on heartbeat spacing, and it
-    #: must stay well below ``heartbeat_timeout`` (the supervisor-side
-    #: grace) or every slow shard would be shot as hung -- construction
-    #: validates ``heartbeat_seconds < heartbeat_timeout``.
-    #: Service daemons on loaded hosts raise both together.
-    heartbeat_seconds: float = 0.25
     #: Injected failures (``kill:1@40,stall:*@10`` ...); see
     #: :mod:`repro.parallel.faults`.
     fault_plan: Optional[FaultPlan] = None
-    #: Remote worker addresses (``host:port`` or Unix socket paths).
-    #: Address ``i`` owns the stable worker index ``i`` across redials,
-    #: so fault plans can target a specific machine.
+    #: Remote worker addresses (``host:port`` or Unix socket paths) of
+    #: ``repro worker --listen`` processes; non-empty selects the remote
+    #: transport.  Address ``i`` owns the stable worker index ``i``
+    #: across redials, so fault plans can target a specific machine.
     remote: Tuple[str, ...] = ()
-    #: Accept *agent-mode* workers (``repro worker --connect``) dialing
-    #: in on this address; adopted agents join the pool with indices
-    #: above the ``remote`` slot range.
-    remote_listen: Optional[str] = None
-    #: ``auto`` (remote iff ``remote``/``remote_listen`` configured),
-    #: ``local`` (fork only), ``remote`` (sockets, forks only after the
-    #: whole remote pool is written off), or ``mixed`` (sockets plus
-    #: forks as first-class pool members from the start).
-    transport: str = "auto"
-    #: Consecutive failed redials of one remote address before that
-    #: slot is written off.
-    remote_redial_budget: int = 3
-    #: Per-connect (dial + init/hello handshake) deadline, seconds.
-    remote_connect_timeout: float = 5.0
-    #: Bound on one blocking frame send to a remote worker, seconds;
-    #: past it the connection is treated as lost.
-    remote_send_timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        wants_remote = bool(self.remote) or self.remote_listen is not None
-        if self.transport not in ("auto", "local", "remote", "mixed"):
-            raise ValueError(
-                f"ParallelConfig.transport must be auto/local/remote/mixed, "
-                f"not {self.transport!r}"
-            )
-        if self.transport in ("remote", "mixed") and not wants_remote:
-            raise ValueError(
-                f"transport {self.transport!r} needs remote addresses or a "
-                "remote_listen endpoint"
-            )
-        if self.workers < 1 and not wants_remote:
+        if self.workers < 1 and not self.remote:
             raise ValueError("ParallelConfig.workers must be >= 1")
-        if self.heartbeat_seconds <= 0:
-            raise ValueError("ParallelConfig.heartbeat_seconds must be > 0")
-        if self.heartbeat_seconds >= self.heartbeat_timeout:
-            # A heartbeat interval at (or past) the hang deadline would
+        if self.heartbeat_timeout <= HEARTBEAT_SECONDS:
+            # A hang deadline at (or below) the heartbeat interval would
             # make every busy worker look stalled; refuse the config
             # instead of silently kill-looping (see docs/ROBUSTNESS.md).
             raise ValueError(
-                "ParallelConfig.heartbeat_seconds "
-                f"({self.heartbeat_seconds}) must be smaller than "
-                f"heartbeat_timeout ({self.heartbeat_timeout})"
+                f"ParallelConfig.heartbeat_timeout ({self.heartbeat_timeout}) "
+                f"must exceed the {HEARTBEAT_SECONDS}s heartbeat interval"
             )
-
-    def transport_kind(self) -> str:
-        """``transport`` with ``auto`` resolved: remote iff remote
-        addresses or an agent listener are configured."""
-        if self.transport != "auto":
-            return self.transport
-        if self.remote or self.remote_listen is not None:
-            return "remote"
-        return "local"
-
-    def backoff_policy(self) -> BackoffPolicy:
-        """The requeue delay schedule as a shared policy object."""
-        return BackoffPolicy(base=self.backoff_base, cap=self.backoff_cap)
-
-    def redial_policy(self) -> BackoffPolicy:
-        """Remote-redial schedule: same base/cap as shard requeues but
-        with *decorrelated jitter* -- several slots (or several
-        supervisors) redialing one recovered host must not stampede it
-        in lockstep."""
-        return BackoffPolicy(
-            base=self.backoff_base, cap=self.backoff_cap, decorrelated=True
-        )
 
 
 @dataclass
@@ -299,23 +239,12 @@ class _Worker:
         except Exception:
             pass
 
-    def describe(self) -> str:
-        return f"forked worker {self.index} (pid {self.pid})"
-
 
 class LocalForkTransport:
     """Default provisioning: fork a pipe worker per provision call."""
 
-    name = "local"
-
-    def start(self, sup: "Supervisor") -> None:
-        pass
-
     def provision(self, sup: "Supervisor") -> Optional[_Worker]:
         return sup._spawn()
-
-    def maintain(self, sup: "Supervisor") -> None:
-        pass
 
     def on_lost(self, sup: "Supervisor", endpoint: Any, kind: str) -> None:
         pass
@@ -325,15 +254,6 @@ class LocalForkTransport:
 
     def capacity_wait(self, sup: "Supervisor") -> Optional[float]:
         return None
-
-    def close_in_child(self) -> None:
-        pass
-
-    def shutdown(self, sup: "Supervisor") -> None:
-        pass
-
-    def describe(self) -> str:
-        return "local-fork"
 
 
 class Supervisor:
@@ -347,8 +267,6 @@ class Supervisor:
         budget: Optional[RunBudget] = None,
         stats: Optional[Stats] = None,
     ) -> None:
-        transport_kind = parallel.transport_kind()
-        self.backoff_policy = parallel.backoff_policy()
         self.program = program
         self.config = config
         self.parallel = parallel
@@ -377,29 +295,21 @@ class Supervisor:
         self.backoff: List[Tuple[float, int, List[int]]] = []  # heap
         self.retries: Dict[int, int] = {}
         self.next_shard_id = 0
-        # Remote address slots own the stable indices 0..R-1; forked and
-        # adopted-agent workers allocate above them, so a redialed slot
-        # never collides with a fork's index.
+        # Remote address slots own the stable indices 0..R-1; forked
+        # workers allocate above them, so a redialed slot never collides
+        # with a fork's index.
         self.next_worker_index = len(parallel.remote)
         self.wave = 0
         self._checkpoint_sink: Optional[CheckpointSink] = None
-        if transport_kind == "local":
-            self.transport: Any = LocalForkTransport()
-        else:
+        if parallel.remote:
             # Lazy import: remote pulls in repro.service.channel, whose
             # package __init__ imports the daemon, which imports this
             # module back (see module docstring).
             from .remote import RemoteTransport
 
-            self.transport = RemoteTransport(
-                addresses=tuple(parallel.remote),
-                mixed=(transport_kind == "mixed"),
-                listen=parallel.remote_listen,
-                redial_policy=parallel.redial_policy(),
-                redial_budget=parallel.remote_redial_budget,
-                connect_timeout=parallel.remote_connect_timeout,
-                send_timeout=parallel.remote_send_timeout,
-            )
+            self.transport: Any = RemoteTransport(tuple(parallel.remote))
+        else:
+            self.transport = LocalForkTransport()
 
     # ------------------------------------------------------------------
     # counters (None-safe)
@@ -483,22 +393,19 @@ class Supervisor:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(cmd_w)
                 os.close(res_r)
-                # Close the parent-side fds (pipes and remote sockets)
-                # of every sibling inherited through fork, or their
-                # EOFs would be delayed until this child exits too.
+                # Close the parent-side pipe fds of every sibling
+                # inherited through fork, or their EOFs would be delayed
+                # until this child exits too.  (Forks never coexist with
+                # remote endpoints: a remote pool forks only once every
+                # slot is dead.)
                 for sibling in self.workers.values():
                     try:
                         sibling.close_in_child()
                     except Exception:
                         pass
-                try:
-                    self.transport.close_in_child()
-                except Exception:
-                    pass
                 worker_main(
                     index, self.context, cmd_r, res_w,
                     fault_plan=self.parallel.fault_plan,
-                    heartbeat_seconds=self.parallel.heartbeat_seconds,
                 )
             finally:
                 os._exit(1)
@@ -571,7 +478,6 @@ class Supervisor:
     def _shutdown(self) -> None:
         for worker in list(self.workers.values()):
             self._reap(worker)
-        self.transport.shutdown(self)
 
     # ------------------------------------------------------------------
     # shard scheduling
@@ -589,12 +495,12 @@ class Supervisor:
         attempts = self.retries.get(shard_id, 0) + 1
         self.retries[shard_id] = attempts
         self._count("requeues")
-        if attempts > self.parallel.max_shard_retries:
+        if attempts > MAX_SHARD_RETRIES:
             # This shard keeps killing whoever runs it: shrink the pool.
             self.target = max(0, self.target - 1)
             self.retries[shard_id] = 0
             self._count("degraded_workers")
-        delay = self.backoff_policy.delay(attempts)
+        delay = REQUEUE_POLICY.delay(attempts)
         heapq.heappush(self.backoff, (time.monotonic() + delay, *shard))
 
     def _promote_backoff(self) -> None:
@@ -616,9 +522,7 @@ class Supervisor:
                 if worker is None:
                     return
             shard = self.pending.popleft()
-            allowance = child_allowance(
-                self.budget, self.parallel.shard_deadline
-            )
+            allowance = child_allowance(self.budget)
             started = self._clock()
             keys = self.keys
             frame = encode_frame((
@@ -672,8 +576,8 @@ class Supervisor:
             self._count("worker_busy_us", busy_us)
             return
         if kind == MSG_EXHAUSTED:
-            # The shard outran its budget slice (per-shard deadline or
-            # RSS).  Worker is healthy; the shard goes back with a retry
+            # The shard outran its budget slice (the remaining global
+            # deadline or the RSS cap).  Worker is healthy; the shard goes back with a retry
             # charged -- repeated exhaustion degrades towards serial,
             # where only the global budget applies.
             self._count("shard_exhaustions")
@@ -713,17 +617,7 @@ class Supervisor:
                     self._handle_frame(worker, frame)
 
     def _check_hangs(self) -> None:
-        # Heartbeats come between state expansions, so silence may mean
-        # one slow state rather than a stall.  With a shard deadline the
-        # child cuts itself off and reports exhaustion cleanly, so give
-        # it that long -- plus one heartbeat of grace for the frame to
-        # arrive -- before shooting it.
         deadline = self.parallel.heartbeat_timeout
-        if self.parallel.shard_deadline is not None:
-            deadline = max(
-                deadline,
-                self.parallel.shard_deadline + self.parallel.heartbeat_timeout,
-            )
         now = time.monotonic()
         for worker in list(self.workers.values()):
             if worker.shard is not None and now - worker.last_frame > deadline:
@@ -936,7 +830,6 @@ class Supervisor:
             frontier = self._load_resume(resume)
         else:
             frontier = [self.init_pid]
-        self.transport.start(self)
         try:
             try:
                 self._run_waves(frontier, checkpoint)
@@ -1013,7 +906,6 @@ class Supervisor:
                 if self.target == 0:
                     self._drain_serial()
                     continue
-                self.transport.maintain(self)
                 self._dispatch()
                 busy = any(
                     w.shard is not None for w in self.workers.values()
@@ -1036,9 +928,9 @@ class Supervisor:
                     )
                 elif self.pending:
                     # Shards are queued but no capacity exists *yet*:
-                    # remote slots are between redial attempts, or an
-                    # agent has not dialed in.  Wait out the shorter of
-                    # one poll tick and the next due redial.
+                    # remote slots are between redial attempts.  Wait
+                    # out the shorter of one poll tick and the next due
+                    # redial.
                     wait = _POLL_SECONDS
                     due = self.transport.capacity_wait(self)
                     if due is not None:

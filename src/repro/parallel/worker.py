@@ -54,14 +54,14 @@ from .protocol import (
     write_frame,
 )
 
-#: Default spacing of progress heartbeats while inside a shard
-#: (overridable per run via ``ParallelConfig.heartbeat_seconds`` -- a
-#: service daemon on a loaded host runs with slower heartbeats and a
-#: matching larger ``heartbeat_timeout``).  Heartbeats are emitted
-#: *between* state expansions (there is no timer thread or SIGALRM in
-#: the child), so a single ``expand()`` call longer than the
-#: supervisor's ``heartbeat_timeout`` looks like a stall; see
-#: ``ParallelConfig.heartbeat_timeout`` for the supervisor-side slack.
+#: Spacing of progress heartbeats while inside a shard (a remote
+#: session also beats this often while idle; the supervisor ships the
+#: value in ``init``).  Heartbeats are emitted *between* state
+#: expansions (there is no timer thread or SIGALRM in the child), so a
+#: single ``expand()`` call longer than the supervisor's
+#: ``heartbeat_timeout`` looks like a stall; see
+#: ``ParallelConfig.heartbeat_timeout`` for the supervisor-side slack,
+#: which must exceed this interval.
 HEARTBEAT_SECONDS = 0.25
 
 
@@ -138,7 +138,6 @@ def worker_main(
     command_fd: int,
     result_fd: int,
     fault_plan: Optional[FaultPlan] = None,
-    heartbeat_seconds: float = HEARTBEAT_SECONDS,
 ) -> None:
     """Run the worker loop; never returns (ends in ``os._exit``).
 
@@ -171,7 +170,6 @@ def worker_main(
                 send, apply_fault, worker_index, context, shard_id, keys,
                 allowance, plan, corrupt_next,
                 states_counter=states_expanded,
-                heartbeat_seconds=heartbeat_seconds,
             )
             states_expanded += len(keys)
     except BrokenPipeError:

@@ -239,13 +239,11 @@ class ChildAllowance:
         )
 
 
-def child_allowance(
-    budget: Optional["RunBudget"], deadline_cap: Optional[float] = None
-) -> ChildAllowance:
+def child_allowance(budget: Optional["RunBudget"]) -> ChildAllowance:
     """:meth:`RunBudget.child_allowance` that tolerates ``budget=None``."""
     if budget is None:
-        return ChildAllowance(deadline_seconds=deadline_cap, max_rss_kb=None)
-    return budget.child_allowance(deadline_cap)
+        return ChildAllowance(deadline_seconds=None, max_rss_kb=None)
+    return budget.child_allowance()
 
 
 # ----------------------------------------------------------------------
@@ -393,14 +391,11 @@ class RunBudget:
     # ------------------------------------------------------------------
     # child-process propagation
     # ------------------------------------------------------------------
-    def child_allowance(
-        self, deadline_cap: Optional[float] = None
-    ) -> "ChildAllowance":
+    def child_allowance(self) -> "ChildAllowance":
         """The budget slice to ship to a child process (or work shard).
 
         The wall-clock allowance is what *remains* of this budget's
-        deadline, optionally capped by ``deadline_cap`` (a per-shard
-        deadline); the RSS cap is inherited as-is (children are separate
+        deadline; the RSS cap is inherited as-is (children are separate
         processes, so each gets the full cap).  State/transition caps
         are not propagated -- only the parent sees global counts.
         A negative remaining deadline is clamped to ``0.0`` so the child
@@ -409,11 +404,6 @@ class RunBudget:
         remaining = self.remaining_seconds()
         if remaining is not None and remaining < 0:
             remaining = 0.0
-        if deadline_cap is not None:
-            remaining = (
-                deadline_cap if remaining is None
-                else min(remaining, deadline_cap)
-            )
         return ChildAllowance(
             deadline_seconds=remaining, max_rss_kb=self.max_rss_kb
         )

@@ -47,9 +47,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     List,
     Optional,
     Set,
@@ -211,28 +213,46 @@ def reachability_search(
     and records product/monitor state counts; ``budget`` (optional) is
     checked once per dequeued pair under phase ``"reachability"``.
     """
+    labels = impl.action_labels
+
+    def successors(state: int) -> List[Tuple[int, Hashable, int]]:
+        return [(aid, labels[aid], dst) for aid, dst in impl.successors(state)]
+
     if stats is None:
-        return _search(impl, spec, budget)
+        return _search(spec, impl.init, successors, budget)
     with stats.stage("reachability"):
-        result = _search(impl, spec, budget)
+        result = _search(spec, impl.init, successors, budget)
         stats.count("product_states", result.product_states)
         stats.count("monitor_states", result.monitor_states)
     return result
 
 
 def _search(
-    impl: AnyLTS, spec: SpecObject, budget: Optional[RunBudget]
+    spec: SpecObject,
+    init: int,
+    successors: Callable[[int], Iterable[Tuple[int, Hashable, int]]],
+    budget: Optional[RunBudget],
+    explorer: Optional[StreamingExplorer] = None,
 ) -> ReachabilitySearch:
+    """The monitor-product search over ``successors(state)`` triples
+    ``(aid, label, dst)``: breadth-first over a pre-explored system,
+    depth-first when ``explorer`` streams the successors (whose
+    expansion counts then land in the result)."""
+    if explorer is None:
+        phase = "reachability"
+    else:
+        phase = PHASE_EXPLORE_REACHABILITY
     init_mset = initial_monitor(spec)
     monitor_sets: Set[MonitorSet] = {init_mset}
-    start = (impl.init, init_mset)
+    start = (init, init_mset)
     # Antichain of visited monitor sets per implementation state.
-    visited: Dict[int, List[MonitorSet]] = {impl.init: [init_mset]}
+    visited: Dict[int, List[MonitorSet]] = {init: [init_mset]}
     parents: Dict[
         Tuple[int, MonitorSet],
         Tuple[Optional[Tuple[int, MonitorSet]], Optional[Hashable]],
     ] = {start: (None, None)}
     queue: deque = deque([start])
+    pop = queue.popleft if explorer is None else queue.pop
     # The monitor transition function only depends on (mset, action), so
     # product states sharing a monitor set share the computed successor.
     post_cache: Dict[Tuple[MonitorSet, int], MonitorSet] = {}
@@ -248,17 +268,33 @@ def _search(
         chain[:] = [existing for existing in chain if not (mset <= existing)]
         chain.append(mset)
 
+    def outcome(trace: Optional[List[Hashable]]) -> ReachabilitySearch:
+        result = ReachabilitySearch(
+            holds=trace is None,
+            counterexample=trace,
+            product_states=len(parents),
+            monitor_states=len(monitor_sets),
+        )
+        if explorer is not None:
+            result.states_expanded = explorer.states_expanded
+            result.states_interned = explorer.num_states
+        return result
+
     while queue:
         if budget is not None:
             budget.check(
-                "reachability",
+                phase,
                 pairs=len(parents),
                 queued=len(queue),
                 monitors=len(monitor_sets),
             )
-        node = queue.popleft()
+        node = pop()
         state, mset = node
-        for aid, dst in impl.successors(state):
+        # With a streaming explorer this is the only place implementation
+        # states get expanded: a product pair that is never popped
+        # (because the antichain subsumed it) never costs an expansion
+        # of a fresh impl state.
+        for aid, label, dst in successors(state):
             if aid == TAU_ID:
                 if subsumed(dst, mset):
                     continue
@@ -267,7 +303,6 @@ def _search(
                 parents[succ] = (node, None)
                 queue.append(succ)
                 continue
-            label = impl.action_labels[aid]
             key = (mset, aid)
             new_mset = post_cache.get(key)
             if new_mset is None:
@@ -283,6 +318,9 @@ def _search(
             if not new_mset:
                 if _SKIP_VIOLATION_STATE:
                     continue
+                if _SKIP_FRONTIER_CHECK and explorer is not None \
+                        and not explorer.is_expanded(dst):
+                    continue
                 # Violation: reconstruct the offending visible history.
                 trace: List[Hashable] = [label]
                 cursor: Optional[Tuple[int, MonitorSet]] = node
@@ -292,24 +330,14 @@ def _search(
                         trace.append(step_label)
                     cursor = parent
                 trace.reverse()
-                return ReachabilitySearch(
-                    holds=False,
-                    counterexample=trace,
-                    product_states=len(parents),
-                    monitor_states=len(monitor_sets),
-                )
+                return outcome(trace)
             if subsumed(dst, new_mset):
                 continue
             record(dst, new_mset)
             succ = (dst, new_mset)
             parents[succ] = (node, label)
             queue.append(succ)
-    return ReachabilitySearch(
-        holds=True,
-        counterexample=None,
-        product_states=len(parents),
-        monitor_states=len(monitor_sets),
-    )
+    return outcome(None)
 
 
 def reachability_search_streaming(
@@ -340,111 +368,21 @@ def reachability_search_streaming(
     phase ``"explore+reachability"`` (demand expansions inside the
     explorer still report phase ``"explore"``).
     """
+    def run() -> ReachabilitySearch:
+        return _search(
+            spec, explorer.init_id, explorer.successors_of, budget,
+            explorer=explorer,
+        )
+
     if stats is None:
-        return _search_streaming(explorer, spec, budget)
+        return run()
     with stats.stage("reachability"):
-        result = _search_streaming(explorer, spec, budget)
+        result = run()
         stats.count("product_states", result.product_states)
         stats.count("monitor_states", result.monitor_states)
         stats.count("states_expanded", result.states_expanded)
         stats.count("states_interned", result.states_interned)
     return result
-
-
-def _search_streaming(
-    explorer: StreamingExplorer,
-    spec: SpecObject,
-    budget: Optional[RunBudget],
-) -> ReachabilitySearch:
-    init_mset = initial_monitor(spec)
-    monitor_sets: Set[MonitorSet] = {init_mset}
-    init = explorer.init_id
-    start = (init, init_mset)
-    visited: Dict[int, List[MonitorSet]] = {init: [init_mset]}
-    parents: Dict[
-        Tuple[int, MonitorSet],
-        Tuple[Optional[Tuple[int, MonitorSet]], Optional[Hashable]],
-    ] = {start: (None, None)}
-    stack: List[Tuple[int, MonitorSet]] = [start]
-    post_cache: Dict[Tuple[MonitorSet, int], MonitorSet] = {}
-
-    def subsumed(state: int, mset: MonitorSet) -> bool:
-        for existing in visited.get(state, ()):
-            if existing <= mset:
-                return True
-        return False
-
-    def record(state: int, mset: MonitorSet) -> None:
-        chain = visited.setdefault(state, [])
-        chain[:] = [existing for existing in chain if not (mset <= existing)]
-        chain.append(mset)
-
-    def outcome(holds: bool, trace: Optional[List[Hashable]]) -> ReachabilitySearch:
-        return ReachabilitySearch(
-            holds=holds,
-            counterexample=trace,
-            product_states=len(parents),
-            monitor_states=len(monitor_sets),
-            states_expanded=explorer.states_expanded,
-            states_interned=explorer.num_states,
-        )
-
-    while stack:
-        if budget is not None:
-            budget.check(
-                PHASE_EXPLORE_REACHABILITY,
-                pairs=len(parents),
-                queued=len(stack),
-                monitors=len(monitor_sets),
-            )
-        node = stack.pop()
-        state, mset = node
-        # The only place implementation states get expanded: a product
-        # pair that is never popped (because the antichain subsumed it)
-        # never costs an expansion of a fresh impl state.
-        for aid, label, dst in explorer.successors_of(state):
-            if aid == TAU_ID:
-                if subsumed(dst, mset):
-                    continue
-                record(dst, mset)
-                succ = (dst, mset)
-                parents[succ] = (node, None)
-                stack.append(succ)
-                continue
-            key = (mset, aid)
-            new_mset = post_cache.get(key)
-            if new_mset is None:
-                kind, tid, mname, payload = _parse_history_label(label)
-                if kind == "call":
-                    new_mset = monitor_after_call(spec, mset, tid, mname, payload)
-                else:
-                    new_mset = monitor_after_return(
-                        spec, mset, tid, mname, payload
-                    )
-                post_cache[key] = new_mset
-                monitor_sets.add(new_mset)
-            if not new_mset:
-                if _SKIP_VIOLATION_STATE:
-                    continue
-                if _SKIP_FRONTIER_CHECK and not explorer.is_expanded(dst):
-                    continue
-                # Violation: reconstruct the offending visible history.
-                trace: List[Hashable] = [label]
-                cursor: Optional[Tuple[int, MonitorSet]] = node
-                while cursor is not None:
-                    parent, step_label = parents[cursor]
-                    if step_label is not None:
-                        trace.append(step_label)
-                    cursor = parent
-                trace.reverse()
-                return outcome(False, trace)
-            if subsumed(dst, new_mset):
-                continue
-            record(dst, new_mset)
-            succ = (dst, new_mset)
-            parents[succ] = (node, label)
-            stack.append(succ)
-    return outcome(True, None)
 
 
 @dataclass

@@ -7,8 +7,10 @@ must survive ``loads_aut(dumps_aut(lts))`` exactly: same initial
 state, state count, and multiset of labelled transitions.
 """
 
+import warnings
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,9 @@ ADVERSARIAL = [
     ("Call", 1),
     ("call", 1, "m", ("nested", (2, "deep"))),
     ("a!b", 'quo"te'),
+    # Not a valid literal ('\q' is no escape): parses back as text,
+    # whatever the warning filter says about invalid escapes.
+    ("a", "'\\q'"),
 ]
 
 _texts = st.text(
@@ -79,7 +84,15 @@ def test_aut_round_trip_is_exact(lts):
     assert _labelled(back) == _labelled(lts)
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 @settings(max_examples=300, deadline=None)
 @given(_labels)
 def test_render_parse_inverse(label):
     assert parse_label(render_label(label)) == label
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_render_label_ignores_the_warning_filter(action):
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert render_label(("a", "'\\q'")) == "A !'\\q'"

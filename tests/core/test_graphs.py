@@ -1,6 +1,6 @@
 """Graph utility tests: Tarjan SCC and reachability closures."""
 
-from repro.core.graphs import reachability_closure, scc_has_cycle, tarjan_scc
+from repro.core.graphs import reachability_closure, tarjan_scc
 
 
 def succ_fn(adjacency):
@@ -44,16 +44,6 @@ def test_disconnected_nodes():
 def test_self_loop_is_singleton_component():
     comp_of, count = tarjan_scc(2, succ_fn({0: [0], 1: []}))
     assert count == 2
-
-
-def test_scc_has_cycle():
-    adjacency = {0: [1], 1: [0], 2: [2], 3: []}
-    edges = [(0, 1), (1, 0), (2, 2)]
-    comp_of, count = tarjan_scc(4, succ_fn(adjacency))
-    cyclic = scc_has_cycle(4, comp_of, count, edges)
-    assert cyclic[comp_of[0]] is True or cyclic[comp_of[0]] == True  # 2-cycle
-    assert cyclic[comp_of[2]]                                       # self-loop
-    assert not cyclic[comp_of[3]]                                   # isolated
 
 
 def test_reachability_closure_chain():

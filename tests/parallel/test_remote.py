@@ -20,6 +20,7 @@ from repro.lang import ClientConfig, explore
 from repro.lang.checkpoint import CheckpointSink, load_checkpoint
 from repro.objects import get
 from repro.parallel import FaultPlan, ParallelConfig, parallel_explore
+from repro.parallel import remote, supervisor
 from repro.parallel.codec import WIRE_PYTHON, dumps_program
 from repro.parallel.protocol import (
     MSG_ERROR,
@@ -30,6 +31,7 @@ from repro.parallel.protocol import (
 )
 from repro.parallel.remote import WorkerRuntime
 from repro.util.metrics import Stats
+from repro.util.retry import BackoffPolicy
 
 
 def _bench_config(key="treiber", threads=2, ops=1):
@@ -49,15 +51,11 @@ def _bench_config(key="treiber", threads=2, ops=1):
 class _WorkerThread:
     """A WorkerRuntime served from a daemon thread, with cleanup."""
 
-    def __init__(self, fault_plan=None, listen="127.0.0.1:0", connect=None):
+    def __init__(self, fault_plan=None):
         self.runtime = WorkerRuntime(
-            listen=listen if connect is None else None,
-            connect=connect,
-            fault_plan=FaultPlan.parse(fault_plan),
+            listen="127.0.0.1:0", fault_plan=FaultPlan.parse(fault_plan),
         )
-        self.address = (
-            self.runtime.bind() if connect is None else None
-        )
+        self.address = self.runtime.bind()
         self.thread = threading.Thread(
             target=self.runtime.serve_forever, daemon=True
         )
@@ -83,7 +81,7 @@ def _remote_parallel(*addresses, workers=0, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# fault-free remote and mixed pools
+# fault-free remote pool
 # ----------------------------------------------------------------------
 
 def test_remote_pool_matches_serial(worker):
@@ -95,16 +93,6 @@ def test_remote_pool_matches_serial(worker):
     )
     assert dumps_aut(lts) == serial
     assert stats.counters["explore.shard_acks"] > 0
-
-
-def test_mixed_pool_matches_serial(worker):
-    program, config = _bench_config("ms_queue")
-    serial = dumps_aut(explore(program, config))
-    lts = parallel_explore(
-        program, config,
-        _remote_parallel(worker.address, workers=2, transport="mixed"),
-    )
-    assert dumps_aut(lts) == serial
 
 
 def test_one_worker_serves_sequential_runs(worker):
@@ -154,15 +142,22 @@ def test_network_fault_recovery_is_byte_identical(spec, counter):
 # degradation ladder and partition salvage
 # ----------------------------------------------------------------------
 
-def test_dead_remotes_degrade_to_local_forks():
+def test_dead_remotes_degrade_to_local_forks(monkeypatch):
     program, config = _bench_config()
     serial = dumps_aut(explore(program, config))
     stats = Stats()
-    # Nothing listens on these; a tiny redial budget keeps it quick.
+    # Nothing listens on these; a tiny redial budget and short backoff
+    # keep it quick.
+    monkeypatch.setattr(remote, "REDIAL_BUDGET", 1)
+    monkeypatch.setattr(remote, "REDIAL_POLICY", BackoffPolicy(
+        base=0.01, cap=0.05, decorrelated=True,
+    ))
+    monkeypatch.setattr(supervisor, "REQUEUE_POLICY", BackoffPolicy(
+        base=0.01, cap=0.05,
+    ))
     parallel = ParallelConfig(
         workers=2, shard_states=16,
         remote=("127.0.0.1:9", "127.0.0.1:10"),
-        remote_redial_budget=1, backoff_base=0.01, backoff_cap=0.05,
     )
     lts = parallel_explore(program, config, parallel, stats=stats)
     assert dumps_aut(lts) == serial
@@ -191,29 +186,6 @@ def test_forced_partition_salvages_checkpoint_and_degrades(tmp_path, worker):
     # The salvage checkpoint left at the partition is serial-loadable.
     assert path.exists()
     assert load_checkpoint(str(path)) is not None
-
-
-# ----------------------------------------------------------------------
-# agent mode: workers dial a listening supervisor
-# ----------------------------------------------------------------------
-
-def test_agent_dials_supervisor_unix_socket(tmp_path):
-    program, config = _bench_config(ops=1)
-    serial = dumps_aut(explore(program, config))
-    spec = str(tmp_path / "sup.sock")
-    parallel = ParallelConfig(
-        workers=0, shard_states=16,
-        remote_listen=spec, transport="remote",
-    )
-    # The agent redials with backoff until the supervisor binds.
-    agent = _WorkerThread(connect=spec)
-    try:
-        stats = Stats()
-        lts = parallel_explore(program, config, parallel, stats=stats)
-        assert dumps_aut(lts) == serial
-        assert stats.counters["explore.remote_agents_adopted"] == 1
-    finally:
-        agent.stop()
 
 
 # ----------------------------------------------------------------------
@@ -255,13 +227,3 @@ def test_worker_refuses_another_wire_protocol(worker, protocol):
     lts = parallel_explore(program, config, _remote_parallel(worker.address))
     assert dumps_aut(lts) == serial
 
-
-# ----------------------------------------------------------------------
-# runtime argument validation
-# ----------------------------------------------------------------------
-
-def test_runtime_requires_exactly_one_mode():
-    with pytest.raises(ValueError):
-        WorkerRuntime()
-    with pytest.raises(ValueError):
-        WorkerRuntime(listen="127.0.0.1:0", connect="127.0.0.1:1")

@@ -9,7 +9,6 @@ uninterrupted result exactly.
 """
 
 import os
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +23,14 @@ from repro.parallel import (
     maybe_parallel_explore,
     parallel_explore,
 )
+from repro.parallel import remote
+from repro.parallel import supervisor as supervisor_module
 from repro.parallel.supervisor import Supervisor, _Worker
+from repro.parallel.worker import HEARTBEAT_SECONDS
 from repro.testing.generators import ProgramShape, program_strategy
 from repro.util.budget import BudgetExhausted, RunBudget
 from repro.util.metrics import Stats
+from repro.util.retry import BackoffPolicy
 
 
 def _bench_config(key, threads=2, ops=2, max_states=None):
@@ -127,17 +130,18 @@ def test_hung_worker_is_detected_and_shard_requeued():
     assert stats.counters["explore.worker_hangs"] >= 1
 
 
-def test_repeated_kills_degrade_to_in_process_fallback():
+def test_repeated_kills_degrade_to_in_process_fallback(monkeypatch):
     # Every spawned worker is shot after its first expansion; with a
     # single allowed retry per shard the pool shrinks 2 -> 1 -> 0 and
     # the supervisor finishes serially -- still byte-identical.
     program, config = _bench_config("treiber")
     serial = dumps_aut(explore(program, config))
     stats = Stats()
+    monkeypatch.setattr(supervisor_module, "MAX_SHARD_RETRIES", 1)
+    monkeypatch.setattr(supervisor_module, "REQUEUE_POLICY",
+                        BackoffPolicy(base=0.01, cap=2.0))
     parallel = _parallel(
         fault_plan=FaultPlan.parse(",".join(["kill:*@1"] * 12)),
-        max_shard_retries=1,
-        backoff_base=0.01,
     )
     lts = parallel_explore(program, config, parallel, stats=stats)
     assert dumps_aut(lts) == serial
@@ -170,26 +174,6 @@ def test_drain_serial_requeues_in_flight_shards():
     assert not supervisor.workers
     assert not supervisor.pending
     assert supervisor.succ[supervisor.init_pid] is not None  # expanded
-
-
-def test_shard_deadline_stretches_hang_detection():
-    # Heartbeats only flow between state expansions, so with a shard
-    # deadline configured the supervisor waits for the child's own clean
-    # exhaustion (deadline + one heartbeat of grace) before shooting it.
-    program, config = _bench_config("treiber")
-    parallel = _parallel(heartbeat_timeout=1.0, shard_deadline=5.0)
-    supervisor = Supervisor(program, config, parallel)
-    worker = _fake_busy_worker(supervisor)
-    worker.shard = (0, [supervisor.init_pid])
-
-    worker.last_frame = time.monotonic() - 3.0  # silent, but within slack
-    supervisor._check_hangs()
-    assert 0 in supervisor.workers
-
-    worker.last_frame = time.monotonic() - 7.0  # past deadline + grace
-    supervisor._check_hangs()
-    assert 0 not in supervisor.workers
-    assert supervisor.backoff  # the shard was requeued, not lost
 
 
 # ----------------------------------------------------------------------
@@ -280,28 +264,39 @@ def test_parallel_equals_serial_on_random_programs(instance):
 
 
 # ----------------------------------------------------------------------
-# heartbeat configuration
+# heartbeat configuration and tuning constants
 # ----------------------------------------------------------------------
 
 def test_heartbeat_interval_must_leave_room_for_the_grace_window():
-    # Interval at (or above) the liveness timeout: every worker would be
-    # declared hung between two of its own beats.  The config refuses
-    # it on construction, before any supervisor or worker exists.
-    with pytest.raises(ValueError, match="heartbeat_seconds"):
-        _parallel(heartbeat_seconds=2.0, heartbeat_timeout=2.0)
-    with pytest.raises(ValueError, match="heartbeat_seconds"):
-        _parallel(heartbeat_seconds=0.0)
-
-
-def test_custom_heartbeat_interval_preserves_determinism():
-    program, config = _bench_config("treiber")
-    serial = dumps_aut(explore(program, config))
-    parallel = _parallel(heartbeat_seconds=0.05, heartbeat_timeout=5.0)
-    assert dumps_aut(parallel_explore(program, config, parallel)) == serial
+    # A liveness timeout at (or below) the heartbeat interval: every
+    # worker would be declared hung between two of its own beats.  The
+    # config refuses it on construction, before any supervisor or
+    # worker exists.
+    with pytest.raises(ValueError, match="heartbeat"):
+        _parallel(heartbeat_timeout=HEARTBEAT_SECONDS)
+    with pytest.raises(ValueError, match="heartbeat"):
+        _parallel(heartbeat_timeout=0.0)
+    assert _parallel(heartbeat_timeout=HEARTBEAT_SECONDS * 2)
 
 
 def test_config_exposes_requeue_backoff_policy():
-    parallel = _parallel(backoff_base=0.1, backoff_cap=0.4)
-    policy = parallel.backoff_policy()
-    assert [policy.delay(n) for n in (1, 2, 3, 4)] == [0.1, 0.2, 0.4, 0.4]
+    policy = supervisor_module.REQUEUE_POLICY
+    assert [policy.delay(n) for n in (1, 2, 3, 4, 7)] == \
+        [0.05, 0.1, 0.2, 0.4, 2.0]
     assert policy.jitter == 0.0  # requeue scheduling stays deterministic
+    assert not policy.decorrelated
+
+
+def test_tuning_constants_keep_their_values():
+    # The knobs no command line sets are module constants; their values
+    # are part of the fault-tolerance contract (docs/ROBUSTNESS.md).
+    assert HEARTBEAT_SECONDS == 0.25
+    assert supervisor_module.MAX_SHARD_RETRIES == 3
+    assert remote.REDIAL_BUDGET == 3
+    assert remote.CONNECT_TIMEOUT == 5.0
+    assert remote.SEND_TIMEOUT == 30.0
+    redial = remote.REDIAL_POLICY
+    assert (redial.base, redial.cap, redial.decorrelated) == (0.05, 2.0, True)
+    defaults = ParallelConfig()
+    assert (defaults.workers, defaults.shard_states,
+            defaults.heartbeat_timeout) == (2, 128, 10.0)

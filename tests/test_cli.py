@@ -1,8 +1,11 @@
 """CLI tests (argument parsing + end-to-end subcommands)."""
 
+import dataclasses
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _parallel_from, build_parser, main
+from repro.parallel import ParallelConfig
 
 
 def test_list(capsys):
@@ -497,7 +500,7 @@ def test_lin_max_states_zero_means_no_cap(capsys, method):
 @pytest.mark.parametrize("argv", [
     ["lin", "treiber", "--workers", "2", "--heartbeat-timeout", "0.1"],
     ["lockfree", "treiber", "--workers", "2", "--fault-plan", "bogus:zz"],
-    ["lin", "newcas", "--transport", "remote"],
+    ["lin", "newcas", "--workers", "2", "--heartbeat-timeout", "0.25"],
 ])
 def test_bad_parallel_config_is_a_usage_error(capsys, argv):
     # A config error is exit 2 with a one-line message, never a
@@ -509,3 +512,32 @@ def test_bad_parallel_config_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.splitlines()[-1].startswith("repro: error: ")
+
+
+def test_every_parallel_config_field_has_a_flag():
+    # ParallelConfig holds only what a command line sets: setting every
+    # parallel flag must move every field off its default, so a field
+    # that no flag can reach fails here.
+    parser = build_parser()
+    args = parser.parse_args([
+        "lin", "newcas", "--workers", "3", "--shard-states", "7",
+        "--heartbeat-timeout", "4", "--fault-plan", "kill:0@5",
+        "--remote", "127.0.0.1:1,127.0.0.1:2",
+    ])
+    config = _parallel_from(parser, args)
+    defaults = ParallelConfig()
+    for field in dataclasses.fields(ParallelConfig):
+        assert getattr(config, field.name) != getattr(defaults, field.name), \
+            field.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["lin", "newcas", "--transport", "remote"],
+    ["lin", "newcas", "--remote-listen", "127.0.0.1:0"],
+    ["worker", "--connect", "127.0.0.1:1"],
+])
+def test_removed_pool_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.parallel import ParallelConfig
+from repro.parallel.supervisor import REQUEUE_POLICY
 from repro.util.retry import BackoffPolicy, RetriesExhausted, retry_call
 
 
@@ -19,13 +19,9 @@ from repro.util.retry import BackoffPolicy, RetriesExhausted, retry_call
 # ----------------------------------------------------------------------
 
 def test_policy_matches_historical_supervisor_formula():
-    parallel = ParallelConfig(workers=1)
-    policy = parallel.backoff_policy()
     for attempt in range(1, 12):
-        historical = min(
-            parallel.backoff_base * (2 ** (attempt - 1)), parallel.backoff_cap
-        )
-        assert policy.delay(attempt) == historical
+        historical = min(0.05 * (2 ** (attempt - 1)), 2.0)
+        assert REQUEUE_POLICY.delay(attempt) == historical
 
 
 def test_policy_caps_and_grows():
